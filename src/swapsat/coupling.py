@@ -57,14 +57,6 @@ class CouplingGraph:
     def connected(self, p: int, q: int) -> bool:
         return (min(p, q), max(p, q)) in self.edges
 
-    def non_edges(self) -> list[tuple[int, int]]:
-        return [
-            (p, q)
-            for p in range(self.num_physical)
-            for q in range(p + 1, self.num_physical)
-            if (p, q) not in self.edges
-        ]
-
 
 @dataclass(frozen=True)
 class BridgePaths:
@@ -77,13 +69,14 @@ class BridgePaths:
 
 
 def distance2_pairs(graph: CouplingGraph) -> BridgePaths:
-    adj = graph.adjacency()
-    middles = {}
-    for p, q in graph.non_edges():
-        common = sorted(adj[p] & adj[q])
-        if common:
-            middles[(p, q)] = tuple(common)
-    return BridgePaths(middles)
+    """Non-adjacent pairs with a common neighbour, found from each middle qubit."""
+    middles: dict[tuple[int, int], list[int]] = {}
+    for m, nbrs in enumerate(graph.adjacency()):
+        for p in nbrs:
+            for q in nbrs:
+                if p < q and (p, q) not in graph.edges:
+                    middles.setdefault((p, q), []).append(m)
+    return BridgePaths({key: tuple(middles[key]) for key in sorted(middles)})
 
 
 def linear_graph(n: int) -> CouplingGraph:

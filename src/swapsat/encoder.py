@@ -90,7 +90,7 @@ class TwoWayEncoder:
         self.cnf = cnf if cnf is not None else CnfInstance()
         self.reg = VarRegistry()
         self.edges = sorted(coupling.edges)
-        self.non_edges = coupling.non_edges()
+        self.nbrs = [sorted(a) for a in coupling.adjacency()]
         self.logical_pairs = slice_.logical_pairs()
         self.m = len(slice_)
         self.built_steps = 0
@@ -99,12 +99,10 @@ class TwoWayEncoder:
             i for i in range(self.m) if slice_.is_cx(i) and self.bridge_paths
         ]
         self.dist2 = sorted(self.bridge_paths.middles)
-        self.not_dist2 = [
-            (p, q)
-            for p in range(self.n_p)
-            for q in range(p + 1, self.n_p)
-            if (p, q) not in self.bridge_paths.middles
-        ]
+        self.nbrs2: list[list[int]] = [[] for _ in range(self.n_p)]
+        for (p, q) in self.dist2:
+            self.nbrs2[p].append(q)
+            self.nbrs2[q].append(p)
 
     # -- variable allocation ----------------------------------------------
 
@@ -203,16 +201,26 @@ class TwoWayEncoder:
                 cnf.add_clause([-s, reg.mapped[(p, t)]])
                 cnf.add_clause([-s, reg.mapped[(q, t)]])
 
+    def _near_constraints(self, pv: int, l: int, lp: int, t: int,
+                          near: list[tuple[int, int]], nbrs: list[list[int]]) -> None:
+        """pv <-> the images of l and lp form a pair in `near`.
+
+        "pair => near" takes one neighbourhood clause per physical qubit and
+        direction; each logical qubit sits on exactly one place, so this is
+        equivalent to forbidding every pair outside `near`, in linear size.
+        """
+        cnf, mv = self.cnf, self.reg.map_var
+        for (p, q) in near:
+            cnf.add_clause([-mv[(l, p, t)], -mv[(lp, q, t)], pv])
+            cnf.add_clause([-mv[(l, q, t)], -mv[(lp, p, t)], pv])
+        for a, b in ((l, lp), (lp, l)):
+            for p in range(self.n_p):
+                cnf.add_clause([-pv, -mv[(a, p, t)]] + [mv[(b, q, t)] for q in nbrs[p]])
+
     def cnot_connection_constraints(self, t: int) -> None:
         cnf, reg = self.cnf, self.reg
         for (l, lp) in self.logical_pairs:
-            pv = reg.pair[((l, lp), t)]
-            for (p, q) in self.edges:
-                cnf.add_clause([-reg.map_var[(l, p, t)], -reg.map_var[(lp, q, t)], pv])
-                cnf.add_clause([-reg.map_var[(l, q, t)], -reg.map_var[(lp, p, t)], pv])
-            for (p, q) in self.non_edges:
-                cnf.add_clause([-reg.map_var[(l, p, t)], -reg.map_var[(lp, q, t)], -pv])
-                cnf.add_clause([-reg.map_var[(l, q, t)], -reg.map_var[(lp, p, t)], -pv])
+            self._near_constraints(reg.pair[((l, lp), t)], l, lp, t, self.edges, self.nbrs)
         for i in range(self.m):
             pv = reg.pair[(self._pair_key(i), t)]
             if t >= 1 and (i, t) in reg.bridge:
@@ -224,13 +232,7 @@ class TwoWayEncoder:
         cnf, reg = self.cnf, self.reg
         pairs2 = sorted({key for (key, tt) in reg.pair2 if tt == t})
         for (l, lp) in pairs2:
-            pv2 = reg.pair2[((l, lp), t)]
-            for (p, q) in self.dist2:
-                cnf.add_clause([-reg.map_var[(l, p, t)], -reg.map_var[(lp, q, t)], pv2])
-                cnf.add_clause([-reg.map_var[(l, q, t)], -reg.map_var[(lp, p, t)], pv2])
-            for (p, q) in self.not_dist2:
-                cnf.add_clause([-reg.map_var[(l, p, t)], -reg.map_var[(lp, q, t)], -pv2])
-                cnf.add_clause([-reg.map_var[(l, q, t)], -reg.map_var[(lp, p, t)], -pv2])
+            self._near_constraints(reg.pair2[((l, lp), t)], l, lp, t, self.dist2, self.nbrs2)
         for i in self.bridgeable:
             b = reg.bridge[(i, t)]
             cnf.add_clause([-b, reg.cnot[(i, t)]])

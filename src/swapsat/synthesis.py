@@ -321,14 +321,15 @@ def synthesize(
             return MappedResult(None, None, compute_metrics(
                 None, circuit, None, "timeout", step_times,
                 time.monotonic() - start, lower_bound=t))
+        encoder.build_step(t)
         budget = None
         if limits.time_limit is not None:
+            # the budget covers encoding as well as solving
             budget = limits.time_limit - (time.monotonic() - start)
             if budget <= 0:
                 return MappedResult(None, None, compute_metrics(
                     None, circuit, None, "timeout", step_times,
                     time.monotonic() - start, lower_bound=t))
-        encoder.build_step(t)
         result = solver.solve([encoder.assumption_literal(t)], time_limit=budget)
         step_times.append(result.stats.get("time", 0.0))
         if result.status is Status.SAT:

@@ -67,6 +67,11 @@ def check_model_properties(encoder: TwoWayEncoder, bits: tuple[bool, ...],
             adjacent = encoder.coupling.connected(mapping[l], mapping[lp])
             if val(reg.pair[((l, lp), t)]) != adjacent:
                 errors.append(f"t={t}: pair({l},{lp}) != adjacency")
+        # pair2 variable = images at distance two (bridge steps only)
+        for ((l, lp), tt), v in reg.pair2.items():
+            images = tuple(sorted((mapping[l], mapping[lp])))
+            if tt == t and val(v) != (images in encoder.bridge_paths.middles):
+                errors.append(f"t={t}: pair2({l},{lp}) != distance two")
         # two-way status: exactly one of current/advanced/delayed
         for i in range(m):
             statuses = [val(reg.cnot[(i, t)]), val(reg.advance[(i, t)]),

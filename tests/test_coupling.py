@@ -18,7 +18,8 @@ def test_linear_graph():
     assert g.num_physical == 4
     assert g.connected(0, 1) and g.connected(2, 1)
     assert not g.connected(0, 2)
-    assert g.non_edges() == [(0, 2), (0, 3), (1, 3)]
+    unconnected = [(p, q) for p in range(4) for q in range(p + 1, 4) if not g.connected(p, q)]
+    assert unconnected == [(0, 2), (0, 3), (1, 3)]
 
 
 def test_grid_graph():
@@ -91,3 +92,16 @@ def test_distance2_pairs():
     # opposite corners have two middle choices
     assert distance2_pairs(grid).middles[(0, 3)] == (1, 2)
     assert not distance2_pairs(CouplingGraph(2, frozenset({(0, 1)})))
+
+
+@pytest.mark.parametrize("spec", BUILTIN_PLATFORMS + ("grid-3x3",))
+def test_distance2_pairs_matches_all_pairs_scan(spec):
+    g = load_coupling(spec)
+    adj = g.adjacency()
+    expected = {}
+    for p in range(g.num_physical):
+        for q in range(p + 1, g.num_physical):
+            common = sorted(adj[p] & adj[q])
+            if common and not g.connected(p, q):
+                expected[(p, q)] = tuple(common)
+    assert distance2_pairs(g).middles == expected

@@ -2,7 +2,7 @@ import pytest
 
 from encoding_checks import check_model_properties, exhaustive_models
 from swapsat.circuit import Circuit, Gate, extract_cnot_slice
-from swapsat.coupling import grid_graph, linear_graph
+from swapsat.coupling import CouplingGraph, grid_graph, linear_graph, load_coupling
 from swapsat.dag import build_dependency_dag
 from swapsat.encoder import EncodeOptions, EncodingError, TwoWayEncoder
 from swapsat.solver import Status, solve
@@ -68,17 +68,27 @@ def test_model_properties_exhaustive_one_step():
         assert check_model_properties(enc, bits, 1) == []
 
 
-@pytest.mark.parametrize("options", [
-    EncodeOptions(),
-    EncodeOptions(ancillary=False),
-    EncodeOptions(bridges=True),
-    EncodeOptions(ancillary=False, bridges=True),
+STAR4 = CouplingGraph(4, frozenset({(0, 1), (0, 2), (0, 3)}), "star-4")
+
+
+# ids options0-3 are the names the linear-3 cases have always had
+@pytest.mark.parametrize("graph,options,expected", [
+    pytest.param(linear_graph(3), EncodeOptions(), 12, id="options0"),
+    pytest.param(linear_graph(3), EncodeOptions(ancillary=False), 4, id="options1"),
+    pytest.param(linear_graph(3), EncodeOptions(bridges=True), 14, id="options2"),
+    pytest.param(linear_graph(3), EncodeOptions(ancillary=False, bridges=True), 6,
+                 id="options3"),
+    # the hub's neighbourhood clauses branch three ways; leaves are bridgeable
+    pytest.param(STAR4, EncodeOptions(), 30, id="star4-S"),
+    pytest.param(STAR4, EncodeOptions(bridges=True), 36, id="star4-SB"),
 ])
-def test_model_properties_solver_enumerated(options):
-    """Blocking-clause enumeration on a 2-logical/3-physical instance."""
-    enc = mk_encoder(2, linear_graph(3), [(0, 1), (1, 0), (0, 1)],
-                     options=options, steps=1)
+def test_model_properties_solver_enumerated(graph, options, expected):
+    """Blocking-clause enumeration of a 2-logical-qubit instance's models,
+    projected on the registry variables: the cardinality encodings' auxiliary
+    variables are free under a false guard and would multiply the count."""
+    enc = mk_encoder(2, graph, [(0, 1), (1, 0), (0, 1)], options=options, steps=1)
     cnf = enc.cnf
+    named = sorted({v for table in vars(enc.reg).values() for v in table.values()})
     from swapsat.solver import InternalSolver
 
     solver = InternalSolver(cnf)
@@ -91,8 +101,8 @@ def test_model_properties_solver_enumerated(options):
         assert count < 20000, "unexpected model blow-up"
         bits = tuple(result.model[1:])
         assert check_model_properties(enc, bits, 1) == []
-        cnf.add_clause([-v if bits[v - 1] else v for v in range(1, cnf.num_vars + 1)])
-    assert count > 0
+        cnf.add_clause([-v if bits[v - 1] else v for v in named])
+    assert count == expected
 
 
 def test_bridge_requires_distance_two():
@@ -122,3 +132,13 @@ def test_grid_two_step():
     assert solve(enc.cnf, [enc.assumption_literal(0)]).status is Status.UNSAT
     enc.build_step(1)
     assert solve(enc.cnf, [enc.assumption_literal(1)]).status is Status.SAT
+
+
+def test_connection_clauses_linear_in_device_size():
+    # eagle127 has 144 edges: one step must not list the ~8k non-adjacent pairs
+    enc = mk_encoder(3, load_coupling("eagle127"), [(0, 1), (1, 2), (0, 2)], steps=0)
+    before = len(enc.cnf.clauses)
+    enc.cnot_connection_constraints(0)
+    added = len(enc.cnf.clauses) - before
+    pairs = len(enc.logical_pairs)
+    assert added <= pairs * (2 * len(enc.edges) + 2 * enc.n_p) + enc.m

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -6,7 +7,7 @@ from conftest import random_circuit
 from swapsat.circuit import Circuit, Gate, circuit_depth, extract_cnot_slice
 from swapsat.coupling import grid_graph, linear_graph
 from swapsat.dag import build_dependency_dag
-from swapsat.encoder import EncodeOptions, EncodingError
+from swapsat.encoder import EncodeOptions, EncodingError, TwoWayEncoder
 from swapsat.qasm import parse_qasm
 from swapsat.solver import Status, solve
 from swapsat.synthesis import (
@@ -108,6 +109,22 @@ def test_timeout_reports_lower_bound(or_circuit):
     assert result.metrics["lower_bound"] == 1
     tight = synthesize(or_circuit, linear_graph(3), limits=Limits(time_limit=1e-9))
     assert tight.metrics["status"] == "timeout"
+
+
+def test_time_limit_covers_encoding(or_circuit, monkeypatch):
+    build_step = TwoWayEncoder.build_step
+
+    def slow_build_step(self, t):
+        time.sleep(0.3)
+        build_step(self, t)
+
+    monkeypatch.setattr(TwoWayEncoder, "build_step", slow_build_step)
+    result = synthesize(or_circuit, linear_graph(3), limits=Limits(time_limit=0.1))
+    # encoding step 0 alone spends the budget: no solver call, nothing proven
+    assert result.metrics["status"] == "timeout"
+    assert result.metrics["lower_bound"] == 0
+    assert result.metrics["step_times"] == []
+    assert 0.3 <= result.metrics["total_time"] < 0.6
 
 
 def test_bridge_plan_contains_ladder():
