@@ -96,10 +96,6 @@ class CnotSlice:
     def __len__(self) -> int:
         return len(self.cnots)
 
-    @property
-    def cnot_to_pair(self) -> dict[int, tuple[int, int]]:
-        return {i: (c, d) for i, (c, d, _src) in enumerate(self.cnots)}
-
     def pair(self, i: int) -> tuple[int, int]:
         c, d, _src = self.cnots[i]
         return (c, d)

@@ -8,11 +8,12 @@ import os
 import sys
 from pathlib import Path
 
+from .circuit import extract_cnot_slice
 from .coupling import CouplingError, load_coupling
-from .encoder import EncodeOptions, EncodingError
+from .encoder import EncodeOptions, EncodingError, TwoWayEncoder
 from .qasm import QasmError, emit_qasm, parse_qasm
 from .solver import SolverError
-from .synthesis import Limits, plan_from_dict, plan_to_dict, synthesize
+from .synthesis import Limits, build_dag, plan_from_dict, plan_to_dict, synthesize
 from .verify import check_structural, check_unitary_equivalence, oracle_min_swaps
 
 METRICS_SCHEMA = "swapsat-metrics-1"
@@ -90,12 +91,8 @@ def run_map(args) -> int:
         Path(args.metrics).write_text(json.dumps(metrics, indent=2) + "\n")
     if args.dump_dimacs:
         # rebuild the final instance for inspection
-        from .circuit import extract_cnot_slice
-        from .dag import build_dependency_dag, build_relaxed_dag
-        from .encoder import TwoWayEncoder
         slice_ = extract_cnot_slice(circuit)
-        dag = build_relaxed_dag(circuit) if options.relaxed \
-            else build_dependency_dag(slice_, circuit)
+        dag = build_dag(slice_, circuit, options.relaxed)
         enc = TwoWayEncoder(circuit.num_qubits, slice_, dag, coupling, options)
         for t in range(len(result.plan.steps)):
             enc.build_step(t)

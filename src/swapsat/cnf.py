@@ -1,8 +1,10 @@
 """CNF clause database, variable allocation and cardinality encodings.
 
-Cardinality constraints use the sequential counter: auxiliary variables
-r[i][j] mean "at least j of the first i literals are true", defined by
-biconditional clauses so every model extension is unique.
+Cardinality constraints use the sequential counter (Sinz, CP 2005):
+auxiliary variables r[i][j] mean "at least j of the first i literals are
+true".  They are defined by unconditional biconditional clauses, so the
+original literals fix every auxiliary variable and each assignment of the
+original literals extends to at most one model.
 """
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ class CnfInstance:
     def __init__(self):
         self.num_vars = 0
         self.clauses: list[list[int]] = []
-        self.incremental_marks: list[int] = []
 
     def new_var(self) -> int:
         self.num_vars += 1
@@ -33,64 +34,52 @@ class CnfInstance:
                 raise CnfError(f"literal {lit} out of range (num_vars={self.num_vars})")
         self.clauses.append(lits)
 
-    def mark_step(self) -> None:
-        self.incremental_marks.append(len(self.clauses))
-
     # cardinality encodings
 
-    def _emit(self, lits, guard: int | None) -> None:
-        if guard is None:
-            self.add_clause(lits)
-        else:
-            self.add_clause([-guard] + list(lits))
-
-    def exactly_k(self, lits, k: int, guard: int | None = None) -> None:
-        """Exactly k of lits true; active only when `guard` holds, if given."""
+    def exactly_k(self, lits, k: int) -> None:
+        """Exactly k of lits true."""
         lits = list(lits)
         n = len(lits)
         if not 0 <= k <= n:
             raise CnfError(f"exactly_k: k={k} out of range for {n} literals")
         if k == 0:
             for lit in lits:
-                self._emit([-lit], guard)
+                self.add_clause([-lit])
             return
         if k == n:
             for lit in lits:
-                self._emit([lit], guard)
+                self.add_clause([lit])
             return
-        r = self._sequential_counter(lits, k + 1, guard)
-        self._emit([r[n - 1][k - 1]], guard)     # at least k
-        self._emit([-r[n - 1][k]], guard)        # at most k
+        r = self._sequential_counter(lits, k + 1)
+        self.add_clause([r[n - 1][k - 1]])     # at least k
+        self.add_clause([-r[n - 1][k]])        # at most k
 
-    def _sequential_counter(self, lits: list[int], width: int,
-                            guard: int | None = None) -> list[list[int]]:
+    def _sequential_counter(self, lits: list[int], width: int) -> list[list[int]]:
         """r[i][j-1] <-> at least j of lits[0..i] are true, for j in 1..width."""
         n = len(lits)
         r = [[self.new_var() for _ in range(width)] for _ in range(n)]
         # base row: r[0][0] <-> lits[0], higher counts false
-        self._emit([-lits[0], r[0][0]], guard)
-        self._emit([lits[0], -r[0][0]], guard)
+        self.add_clause([-lits[0], r[0][0]])
+        self.add_clause([lits[0], -r[0][0]])
         for j in range(1, width):
-            self._emit([-r[0][j]], guard)
+            self.add_clause([-r[0][j]])
         for i in range(1, n):
             for j in range(width):
                 below = r[i - 1][j - 1] if j > 0 else None
                 # r[i][j] <- r[i-1][j]
-                self._emit([-r[i - 1][j], r[i][j]], guard)
+                self.add_clause([-r[i - 1][j], r[i][j]])
                 # r[i][j] <- lits[i] & r[i-1][j-1]   (j=0: <- lits[i])
                 if below is None:
-                    self._emit([-lits[i], r[i][j]], guard)
+                    self.add_clause([-lits[i], r[i][j]])
                 else:
-                    self._emit([-lits[i], -below, r[i][j]], guard)
+                    self.add_clause([-lits[i], -below, r[i][j]])
                 # r[i][j] -> r[i-1][j] | (lits[i] & r[i-1][j-1])
-                if below is None:
-                    self._emit([-r[i][j], r[i - 1][j], lits[i]], guard)
-                else:
-                    self._emit([-r[i][j], r[i - 1][j], lits[i]], guard)
-                    self._emit([-r[i][j], r[i - 1][j], below], guard)
+                self.add_clause([-r[i][j], r[i - 1][j], lits[i]])
+                if below is not None:
+                    self.add_clause([-r[i][j], r[i - 1][j], below])
         return r
 
-    def at_most_one(self, lits, guard: int | None = None) -> None:
+    def at_most_one(self, lits) -> None:
         lits = list(lits)
         if len(lits) <= 1:
             return
@@ -98,20 +87,20 @@ class CnfInstance:
             # pairwise is smaller for tiny groups
             for a in range(len(lits)):
                 for b in range(a + 1, len(lits)):
-                    self._emit([-lits[a], -lits[b]], guard)
+                    self.add_clause([-lits[a], -lits[b]])
             return
-        r = self._sequential_counter(lits, 2, guard)
-        self._emit([-r[len(lits) - 1][1]], guard)
+        r = self._sequential_counter(lits, 2)
+        self.add_clause([-r[len(lits) - 1][1]])
 
-    def exactly_one(self, lits, guard: int | None = None) -> None:
+    def exactly_one(self, lits) -> None:
         lits = list(lits)
         if not lits:
             raise CnfError("exactly_one over no literals is unsatisfiable")
-        self._emit(lits, guard)
-        self.at_most_one(lits, guard)
+        self.add_clause(lits)
+        self.at_most_one(lits)
 
-    def exactly_two(self, lits, guard: int | None = None) -> None:
-        self.exactly_k(lits, 2, guard)
+    def exactly_two(self, lits) -> None:
+        self.exactly_k(lits, 2)
 
     def to_dimacs(self) -> str:
         lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]

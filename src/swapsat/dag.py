@@ -38,25 +38,6 @@ class DepDag:
                 reach[i] |= reach[j]
         return reach
 
-    def topological_sort(self) -> list[int]:
-        n = len(self.pre)
-        indeg = [len(self.pre[i]) for i in range(n)]
-        ready = sorted(i for i in range(n) if indeg[i] == 0)
-        order = []
-        import heapq
-
-        heapq.heapify(ready)
-        while ready:
-            i = heapq.heappop(ready)
-            order.append(i)
-            for j in self.suc[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    heapq.heappush(ready, j)
-        if len(order) != n:
-            raise ValueError("dependency graph has a cycle")
-        return order
-
 
 def _immediate_from_edges(n: int, edges: set[tuple[int, int]]):
     """Reduce an edge set to immediate edges (transitive reduction)."""
@@ -79,42 +60,30 @@ def _immediate_from_edges(n: int, edges: set[tuple[int, int]]):
     return pre, suc
 
 
-def build_dependency_dag(slice_: CnotSlice, circuit: Circuit | None = None) -> DepDag:
-    """Strict DAG: immediate edges between qubit-sharing slice gates.
-
-    When the originating circuit is supplied, its barriers act as ordering
-    fences between the slice gates.
-    """
+def build_dependency_dag(slice_: CnotSlice, circuit: Circuit) -> DepDag:
+    """Strict DAG: immediate edges between qubit-sharing slice gates of the
+    circuit, with its barriers acting as ordering fences between them."""
     n = len(slice_)
     pre: list[set[int]] = [set() for _ in range(n)]
     suc: list[set[int]] = [set() for _ in range(n)]
-    if circuit is None:
-        # frontier[q]: cnot ids the next gate on q must depend on
-        frontier: dict[int, set[int]] = {}
-        for i, (c, d, _src) in enumerate(slice_.cnots):
-            for q in (c, d):
-                for p in frontier.get(q, ()):
-                    pre[i].add(p)
-                    suc[p].add(i)
+    by_src = {src: i for i, (_c, _d, src) in enumerate(slice_.cnots)}
+    # frontier[q]: cnot ids the next gate on q must depend on
+    frontier: dict[int, set[int]] = {q: set() for q in range(circuit.num_qubits)}
+    for g in circuit.gates:
+        if g.index in by_src:
+            i = by_src[g.index]
+            for q in g.qubits:
+                for p in frontier[q]:
+                    if p != i:
+                        pre[i].add(p)
+                        suc[p].add(i)
                 frontier[q] = {i}
-    else:
-        by_src = {src: i for i, (_c, _d, src) in enumerate(slice_.cnots)}
-        frontier = {q: set() for q in range(circuit.num_qubits)}
-        for g in circuit.gates:
-            if g.index in by_src:
-                i = by_src[g.index]
-                for q in g.qubits:
-                    for p in frontier[q]:
-                        if p != i:
-                            pre[i].add(p)
-                            suc[p].add(i)
-                    frontier[q] = {i}
-            elif g.name == "barrier":
-                fenced = set()
-                for q in g.qubits:
-                    fenced |= frontier[q]
-                for q in g.qubits:
-                    frontier[q] = set(fenced)
+        elif g.name == "barrier":
+            fenced = set()
+            for q in g.qubits:
+                fenced |= frontier[q]
+            for q in g.qubits:
+                frontier[q] = set(fenced)
     return DepDag(tuple(frozenset(s) for s in pre), tuple(frozenset(s) for s in suc), "strict")
 
 

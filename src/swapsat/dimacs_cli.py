@@ -2,7 +2,8 @@
 
 Reads a CNF file, prints SAT-competition style output ("s ..." and "v ..."
 lines).  Installed as `swapsat-dimacs`, which also makes it usable as an
-external backend: `--solver external:swapsat-dimacs`.
+external backend: `--solver external:swapsat-dimacs`, or without an install
+`--solver "external:python -m swapsat.dimacs_cli"`.
 """
 from __future__ import annotations
 

@@ -50,18 +50,7 @@ class VarRegistry:
     pair: dict = field(default_factory=dict)          # ((l, l'), t)
     pair2: dict = field(default_factory=dict)         # ((l, l'), t)
     bridge: dict = field(default_factory=dict)        # (i, t)
-    swap_chosen: dict = field(default_factory=dict)   # t
     assum: dict = field(default_factory=dict)         # t
-
-    def dump(self) -> str:
-        """Human-readable listing for the CLI debug flag."""
-        lines = []
-        for kind in ("map_var", "mapped", "touch", "swap", "cnot", "advance",
-                     "delay", "pair", "pair2", "bridge", "swap_chosen", "assum"):
-            table = getattr(self, kind)
-            for key in sorted(table, key=repr):
-                lines.append(f"{kind}{key!r} -> {table[key]}")
-        return "\n".join(lines) + "\n"
 
 
 class TwoWayEncoder:
@@ -130,7 +119,6 @@ class TwoWayEncoder:
                 pairs2 = sorted({tuple(sorted(self.slice.pair(i))) for i in self.bridgeable})
                 for pair in pairs2:
                     reg.pair2[(pair, t)] = cnf.new_var()
-                reg.swap_chosen[t] = cnf.new_var()
         reg.assum[t] = cnf.new_var()
 
     # -- constraint families ----------------------------------------------
@@ -160,16 +148,12 @@ class TwoWayEncoder:
             cnf.add_clause([-s, reg.touch[(e[0], t)]])
             cnf.add_clause([-s, reg.touch[(e[1], t)]])
         if self.bridgeable:
-            bridges = [reg.bridge[(i, t)] for i in self.bridgeable]
-            cnf.exactly_one(swaps + bridges)
-            sb = reg.swap_chosen[t]
-            for s in swaps:
-                cnf.add_clause([-s, sb])
-            cnf.add_clause([-sb] + swaps)
-            cnf.exactly_two(touches, guard=sb)
-            for b in bridges:
-                for u in touches:
-                    cnf.add_clause([-b, -u])
+            cnf.exactly_one(swaps + [reg.bridge[(i, t)] for i in self.bridgeable])
+            # a qubit is touched only by a SWAP on one of its edges, so the
+            # one SWAP touches exactly its ends and a bridge touches nothing
+            for p in range(self.n_p):
+                cnf.add_clause([-touches[p]] + [reg.swap[((min(p, q), max(p, q)), t)]
+                                                for q in self.nbrs[p]])
         else:
             cnf.exactly_one(swaps)
             cnf.exactly_two(touches)
@@ -293,7 +277,6 @@ class TwoWayEncoder:
         self.cnot_connection_constraints(t)
         self.cnot_dependency_constraints(t)
         self._assumption(t)
-        self.cnf.mark_step()
         self.built_steps = t + 1
 
     def assumption_literal(self, t: int) -> int:

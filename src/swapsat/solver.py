@@ -15,7 +15,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from heapq import heappush, heappop
+from heapq import heapify, heappop, heappush
 
 from .cnf import CnfInstance
 
@@ -209,6 +209,14 @@ class InternalSolver:
         del self.trail[bound:]
         del self.trail_lim[lvl:]
         self.qhead = len(self.trail)
+        if len(self.heap) > 4 * self.nvars:
+            # drop the entries of assigned variables and the outdated ones;
+            # an unassigned variable's best entry already holds its current
+            # activity (barring a rescale since it was pushed), so no
+            # decision changes
+            self.heap = [(-self.activity[v], v) for v in range(1, self.nvars + 1)
+                         if self.assign[v] == _UNDEF]
+            heapify(self.heap)
 
     # -- analysis ----------------------------------------------------------
 
@@ -218,7 +226,8 @@ class InternalSolver:
             for u in range(1, self.nvars + 1):
                 self.activity[u] *= 1e-100
             self.var_inc *= 1e-100
-        heappush(self.heap, (-self.activity[v], v))
+        if self.assign[v] == _UNDEF:
+            heappush(self.heap, (-self.activity[v], v))
 
     def _bump_clause(self, ci: int) -> None:
         if ci in self.learned:

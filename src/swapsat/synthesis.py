@@ -109,6 +109,13 @@ def _apply_swap(mapping: list[int], p: int, q: int) -> None:
             mapping[l] = p
 
 
+def build_dag(slice_: CnotSlice, circuit: Circuit, relaxed: bool) -> DepDag:
+    """The relaxed or the strict dependency DAG of the circuit's CNOT slice."""
+    if relaxed:
+        return build_relaxed_dag(circuit)
+    return build_dependency_dag(slice_, circuit)
+
+
 def _step_order(dag: DepDag, cnots: set[int]) -> tuple[int, ...]:
     """Topological order of the step-induced sub-DAG, ties by smallest id."""
     import heapq
@@ -307,10 +314,7 @@ def synthesize(
 ) -> MappedResult:
     start = time.monotonic()
     slice_ = extract_cnot_slice(circuit)
-    if options.relaxed:
-        dag = build_relaxed_dag(circuit)
-    else:
-        dag = build_dependency_dag(slice_, circuit)
+    dag = build_dag(slice_, circuit, options.relaxed)
     encoder = TwoWayEncoder(circuit.num_qubits, slice_, dag, coupling, options)
     solver = make_solver(encoder.cnf, solver_spec)
 

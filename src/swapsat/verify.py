@@ -11,10 +11,9 @@ import numpy as np
 
 from .circuit import Circuit, extract_cnot_slice
 from .coupling import CouplingGraph, distance2_pairs
-from .dag import build_dependency_dag, build_relaxed_dag
 from .encoder import EncodeOptions
 from .simulator import basis_state, random_state, simulate
-from .synthesis import Bridge, Plan, Swap, _apply_swap
+from .synthesis import Bridge, Plan, Swap, _apply_swap, build_dag
 
 
 @dataclass(frozen=True)
@@ -49,8 +48,7 @@ def check_structural(original: Circuit, mapped: Circuit, coupling: CouplingGraph
 
     # (c) emission order is a linear extension of the dependency DAG
     slice_ = extract_cnot_slice(original)
-    dag = build_relaxed_dag(original) if relaxed \
-        else build_dependency_dag(slice_, original)
+    dag = build_dag(slice_, original, relaxed)
     emission = [i for s in plan.steps for i in s.cnots]
     if sorted(emission) != list(range(len(slice_))):
         fail("dependency", "plan does not schedule each CNOT exactly once")
@@ -163,43 +161,29 @@ def check_unitary_equivalence(original: Circuit, mapped: Circuit,
                                    index=len(small_gates)))
     small = Circuit(n_u, tuple(small_gates), mapped.name)
 
-    init_pos = [compact[initial_map[l]] for l in range(n_l)]
-    final_pos = [compact[final_map[l]] for l in range(n_l)]
-
-    def embed(state_l: np.ndarray) -> np.ndarray:
-        """Place the n_l-qubit state at init_pos, ancillas |0>."""
+    def place(state_l: np.ndarray, positions: list[int]) -> np.ndarray:
+        """The n_l-qubit state with logical l on axis positions[l], ancillas |0>."""
         full = state_l.reshape((2,) * n_l)
-        # add ancilla axes then permute logical axes into position
         for _ in range(n_u - n_l):
             full = np.stack([full, np.zeros_like(full)], axis=-1)
         # axes: 0..n_l-1 logical, n_l..n_u-1 ancillas
-        anc = [i for i in range(n_u) if i not in init_pos]
-        return np.moveaxis(full, list(range(n_u)), _inverse_positions(init_pos, anc))
+        anc = [i for i in range(n_u) if i not in positions]
+        return np.moveaxis(full, list(range(n_u)), positions + anc)
 
-    def expected(state_out: np.ndarray) -> np.ndarray:
-        full = state_out.reshape((2,) * n_l)
-        for _ in range(n_u - n_l):
-            full = np.stack([full, np.zeros_like(full)], axis=-1)
-        anc = [i for i in range(n_u) if i not in final_pos]
-        return np.moveaxis(full, list(range(n_u)), _inverse_positions(final_pos, anc))
+    init_pos = [compact[initial_map[l]] for l in range(n_l)]
+    final_pos = [compact[final_map[l]] for l in range(n_l)]
 
     rng = np.random.default_rng(20240824)
     states = [basis_state(n_l, b) for b in range(2**n_l)]
     states += [random_state(n_l, rng) for _ in range(16)]
     for psi in states:
         out_o = simulate(original, psi)
-        out_m = simulate(small, embed(psi))
-        want = expected(out_o)
+        out_m = simulate(small, place(psi, init_pos))
+        want = place(out_o, final_pos)
         overlap = abs(np.vdot(want.ravel(), out_m.ravel()))
         if overlap <= 1 - 1e-9:
             return False
     return True
-
-
-def _inverse_positions(logical_pos: list[int], anc_pos: list[int]) -> list[int]:
-    """Destination axis for each source axis: logical l -> logical_pos[l],
-    ancilla j -> anc_pos[j]."""
-    return list(logical_pos) + list(anc_pos)
 
 
 def oracle_min_swaps(circuit: Circuit, coupling: CouplingGraph,
@@ -212,8 +196,7 @@ def oracle_min_swaps(circuit: Circuit, coupling: CouplingGraph,
     when no solution exists within `cap` transitions.
     """
     slice_ = extract_cnot_slice(circuit)
-    dag = build_relaxed_dag(circuit) if options.relaxed \
-        else build_dependency_dag(slice_, circuit)
+    dag = build_dag(slice_, circuit, options.relaxed)
     m = len(slice_)
     n_l, n_p = circuit.num_qubits, coupling.num_physical
     if n_l > n_p:

@@ -1,4 +1,6 @@
 import random
+import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,10 @@ from swapsat.circuit import Circuit, Gate
 from swapsat.qasm import parse_qasm
 
 CIRCUITS_DIR = Path(__file__).resolve().parent.parent / "circuits"
+
+# The bundled DIMACS front-end as an external solver command; it needs no
+# installed console script, only the interpreter running the tests.
+DIMACS_COMMAND = f"{shlex.quote(sys.executable)} -m swapsat.dimacs_cli"
 
 # Filled by test_acceptance.py; reported once at the end of the run.
 CRITERION_RESULTS: dict[int, tuple[str, bool]] = {}

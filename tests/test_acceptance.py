@@ -1,27 +1,20 @@
 """Acceptance suite.  Each criterion records one PASS/FAIL summary line."""
 import random
-import shutil
 import time
 from dataclasses import dataclass
 
 import pytest
 
-from conftest import random_circuit, record_criterion
+from conftest import DIMACS_COMMAND, random_circuit, record_criterion
 from encoding_checks import check_model_properties, exhaustive_models
 from swapsat.circuit import Circuit, Gate, extract_cnot_slice
+from swapsat.cli import COMBOS
 from swapsat.coupling import grid_graph, linear_graph, load_coupling
-from swapsat.dag import build_dependency_dag, build_relaxed_dag
+from swapsat.dag import build_dependency_dag
 from swapsat.encoder import EncodeOptions, TwoWayEncoder
 from swapsat.solver import InternalSolver, Status, make_solver, solve
-from swapsat.synthesis import Limits, synthesize
+from swapsat.synthesis import Limits, build_dag, synthesize
 from swapsat.verify import check_structural, check_unitary_equivalence, oracle_min_swaps
-
-COMBOS = {
-    "S": EncodeOptions(bridges=False, relaxed=False),
-    "SB": EncodeOptions(bridges=True, relaxed=False),
-    "SR": EncodeOptions(bridges=False, relaxed=True),
-    "SBR": EncodeOptions(bridges=True, relaxed=True),
-}
 
 CORPUS_SIZE = 200
 
@@ -29,8 +22,7 @@ CORPUS_SIZE = 200
 def certificate_holds(circuit, options, coupling, k, solver_spec="internal"):
     """Fresh instance: the k-1 step bound must be refuted."""
     slice_ = extract_cnot_slice(circuit)
-    dag = build_relaxed_dag(circuit) if options.relaxed \
-        else build_dependency_dag(slice_, circuit)
+    dag = build_dag(slice_, circuit, options.relaxed)
     enc = TwoWayEncoder(circuit.num_qubits, slice_, dag, coupling, options)
     solver = make_solver(enc.cnf, solver_spec)
     for t in range(k):
@@ -156,11 +148,8 @@ def test_criterion_4_soundness(corpus_run):
 
 
 def test_criterion_5_optimality_certificates(corpus_run, or_circuit):
-    external_ok = True
-    if shutil.which("swapsat-dimacs") is not None:
-        external_ok = certificate_holds(or_circuit, EncodeOptions(),
-                                        linear_graph(3), 2,
-                                        "external:swapsat-dimacs")
+    external_ok = certificate_holds(or_circuit, EncodeOptions(), linear_graph(3), 2,
+                                    "external:" + DIMACS_COMMAND)
     ok = corpus_run.certificate_failures == 0 and external_ok
     record_criterion(5, f"certificate failures {corpus_run.certificate_failures}, "
                         f"external backend re-check "

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conftest import DIMACS_COMMAND
 from swapsat.cli import main
 from swapsat.cnf import CnfInstance
 from swapsat.dimacs_cli import main as dimacs_main
@@ -141,13 +142,9 @@ def test_solver_env_default(circuits_dir, monkeypatch):
 
 
 def test_external_solver_cli(circuits_dir, tmp_path):
-    import shutil
-
-    if shutil.which("swapsat-dimacs") is None:
-        pytest.skip("console script not installed")
     metrics = tmp_path / "m.json"
     code = main(["map", "--circuit", or_path(circuits_dir), "--platform", "linear-3",
-                 "--solver", "external:swapsat-dimacs", "--metrics", str(metrics)])
+                 "--solver", "external:" + DIMACS_COMMAND, "--metrics", str(metrics)])
     assert code == 0
     assert json.loads(metrics.read_text())["swaps"] == 2
 

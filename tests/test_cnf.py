@@ -1,4 +1,4 @@
-from itertools import combinations, product
+from itertools import product
 from math import comb
 
 import pytest
@@ -84,20 +84,6 @@ def test_at_most_one(n):
     assert len(enumerate_models(cnf, lits)) == n + 1
 
 
-def test_guarded_cardinality():
-    # guard off: anything goes; guard on: exactly 2
-    cnf = CnfInstance()
-    guard = cnf.new_var()
-    lits = cnf.new_vars(4)
-    cnf.exactly_two(lits, guard=guard)
-    models = enumerate_models(cnf, [guard] + lits)
-    with_guard = {m[1:] for m in models if m[0]}
-    without = {m[1:] for m in models if not m[0]}
-    assert with_guard == {tuple(i in pair for i in range(4))
-                          for pair in combinations(range(4), 2)}
-    assert len(without) == 16
-
-
 def test_sequential_counter_aux_vars_are_determined():
     # biconditional definitions: each lits-assignment extends to exactly one model
     cnf = CnfInstance()
@@ -149,14 +135,3 @@ def test_dimacs_parse_errors():
         CnfInstance.from_dimacs("p cnf 2 2\n1 2 0\n")  # count mismatch
     parsed = CnfInstance.from_dimacs("c comment\np cnf 2 1\nc mid\n1 -2 0\n")
     assert parsed.clauses == [[1, -2]]
-
-
-def test_mark_step():
-    cnf = CnfInstance()
-    a = cnf.new_var()
-    cnf.add_clause([a])
-    cnf.mark_step()
-    b = cnf.new_var()
-    cnf.add_clause([-a, b])
-    cnf.mark_step()
-    assert cnf.incremental_marks == [1, 2]

@@ -1,9 +1,9 @@
 import random
-import shutil
 from itertools import combinations, product
 
 import pytest
 
+from conftest import DIMACS_COMMAND
 from swapsat.cnf import CnfInstance
 from swapsat.solver import (
     ExternalSolver,
@@ -124,25 +124,21 @@ def test_time_limit_unknown():
     assert result.status in (Status.UNKNOWN, Status.UNSAT)
 
 
-@pytest.mark.skipif(shutil.which("swapsat-dimacs") is None,
-                    reason="console script not installed")
 def test_external_backend_roundtrip():
     rng = random.Random(13)
     for _ in range(20):
         cnf = random_instance(rng, rng.randint(2, 6), rng.randint(1, 12))
         expected = brute_force_sat(cnf)
-        ext = ExternalSolver(cnf, "swapsat-dimacs {file}")
+        ext = ExternalSolver(cnf, DIMACS_COMMAND + " {file}")
         result = ext.solve()
         assert (result.status is Status.SAT) == expected
 
 
-@pytest.mark.skipif(shutil.which("swapsat-dimacs") is None,
-                    reason="console script not installed")
 def test_external_backend_assumptions():
     cnf = CnfInstance()
     a, b = cnf.new_vars(2)
     cnf.add_clause([a, b])
-    ext = ExternalSolver(cnf, "swapsat-dimacs")
+    ext = ExternalSolver(cnf, DIMACS_COMMAND)
     assert ext.solve([-a, -b]).status is Status.UNSAT
     result = ext.solve([-a])
     assert result.status is Status.SAT and result.model[b]
