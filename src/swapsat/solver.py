@@ -3,6 +3,8 @@
 The internal solver is bound to one CnfInstance and ingests newly appended
 clauses on each solve() call, keeping learned clauses (sound because clauses
 are only ever added).  Assumptions are handled as forced first decisions.
+Its values and watch lists are indexed by the literal itself, so the
+propagation loop does no sign or variable arithmetic per watched clause.
 The external backend re-solves from scratch through a DIMACS subprocess with
 assumptions emulated as unit clauses.
 """
@@ -47,16 +49,23 @@ def _check_model(instance: CnfInstance, model: list[bool]) -> None:
 
 
 class InternalSolver:
-    """CDCL with two watched literals, first-UIP learning, VSIDS and restarts."""
+    """CDCL with two watched literals, first-UIP learning, VSIDS and restarts.
 
-    def __init__(self, instance: CnfInstance, seed: int = 0):
+    Per-literal state lives in lists of 2n+1 slots indexed by the literal
+    itself: ``val[lit]`` is the value of ``lit`` and, through Python's
+    negative indexing, ``val[-lit]`` that of its negation (slot 0 is
+    unused).  ``watches`` has the same layout.  Per-variable state
+    (``level``, ``reason``, ``phase``, ``activity``) is indexed 1..n.
+    """
+
+    def __init__(self, instance: CnfInstance):
         self.instance = instance
         self.nvars = 0
         self.clauses: list[list[int] | None] = []
         self.learned: set[int] = set()
         self.clause_act: dict[int, float] = {}
-        self.watches: list[list[int]] = []  # indexed by literal code
-        self.assign: list[int] = [0]
+        self.val: list[int] = [_UNDEF]  # indexed by literal
+        self.watches: list[list[int]] = [[]]  # indexed by literal
         self.level: list[int] = [0]
         self.reason: list[int | None] = [None]
         self.phase: list[bool] = [False]
@@ -74,160 +83,153 @@ class InternalSolver:
         self.propagations = 0
         self.max_learned = 4000
 
-    # -- literal helpers ---------------------------------------------------
-
-    @staticmethod
-    def _code(lit: int) -> int:
-        return 2 * lit if lit > 0 else -2 * lit + 1
-
-    def _value(self, lit: int) -> int:
-        v = self.assign[abs(lit)]
-        return v if lit > 0 else -v
-
     # -- state growth ------------------------------------------------------
 
     def _grow(self, nvars: int) -> None:
-        while self.nvars < nvars:
-            self.nvars += 1
-            self.assign.append(_UNDEF)
-            self.level.append(0)
-            self.reason.append(None)
-            self.phase.append(False)
-            self.activity.append(0.0)
-            heappush(self.heap, (0.0, self.nvars))
-        while len(self.watches) < 2 * self.nvars + 2:
-            self.watches.append([])
+        old = self.nvars
+        if nvars <= old:
+            return
+        added = nvars - old
+        self.nvars = nvars
+        # literals 1..old keep their slots and -old..-1 stay at the end, so
+        # the new literals' slots go in between
+        self.val = self.val[:old + 1] + [_UNDEF] * (2 * added) + self.val[old + 1:]
+        self.watches = (self.watches[:old + 1] + [[] for _ in range(2 * added)]
+                        + self.watches[old + 1:])
+        self.level += [0] * added
+        self.reason += [None] * added
+        self.phase += [False] * added
+        self.activity += [0.0] * added
+        for v in range(old + 1, nvars + 1):
+            heappush(self.heap, (0.0, v))
 
     def _ingest(self) -> None:
         self._grow(self.instance.num_vars)
         self._cancel_until(0)
-        while self.n_ingested < len(self.instance.clauses):
-            clause = list(self.instance.clauses[self.n_ingested])
-            self.n_ingested += 1
-            self._add_clause(clause, learned=False)
-        if not self.root_conflict and self._propagate() is not None:
-            self.root_conflict = True
-
-    def _add_clause(self, lits: list[int], learned: bool) -> int | None:
+        new = self.instance.clauses[self.n_ingested:]
+        self.n_ingested += len(new)
         if self.root_conflict:
-            return None
-        if not learned:
+            return
+        val, watches, clauses = self.val, self.watches, self.clauses
+        for lits in new:
             # Ingestion happens at level 0: watched literals must not be
             # false already, or the clause would never wake its watchers.
-            keep = [l for l in lits if self._value(l) != _FALSE]
-            if not keep:
+            keep = [lit for lit in lits if val[lit] != _FALSE]
+            if len(keep) > 1:
+                if len(keep) < len(lits):
+                    keep += [lit for lit in lits if val[lit] == _FALSE]
+                ci = len(clauses)
+                clauses.append(keep)
+                watches[keep[0]].append(ci)
+                watches[keep[1]].append(ci)
+            elif not keep:
                 self.root_conflict = True
-                return None
-            if len(keep) == 1:
-                lits = keep
-            else:
-                others = [l for l in lits if self._value(l) == _FALSE]
-                lits = keep + others
-        if len(lits) == 1:
-            lit = lits[0]
-            val = self._value(lit)
-            if val == _FALSE and self.level[abs(lit)] == 0:
-                self.root_conflict = True
-            elif val == _UNDEF:
-                self._enqueue(lit, None)
-            return None
-        ci = len(self.clauses)
-        self.clauses.append(lits)
-        self.watches[self._code(lits[0])].append(ci)
-        self.watches[self._code(lits[1])].append(ci)
-        if learned:
-            self.learned.add(ci)
-            self.clause_act[ci] = self.cla_inc
-        return ci
+                return
+            elif val[keep[0]] == _UNDEF:
+                self._enqueue(keep[0], None)
+        if self._propagate() is not None:
+            self.root_conflict = True
 
     # -- assignment / propagation -----------------------------------------
 
     def _enqueue(self, lit: int, reason: int | None) -> None:
-        v = abs(lit)
-        self.assign[v] = _TRUE if lit > 0 else _FALSE
+        self.val[lit] = _TRUE
+        self.val[-lit] = _FALSE
+        v = lit if lit > 0 else -lit
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
-        self.phase[v] = lit > 0
         self.trail.append(lit)
 
     def _propagate(self) -> int | None:
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            self.propagations += 1
-            code = self._code(-p)
-            ws = self.watches[code]
-            i = 0
-            j = 0
-            conflict = None
-            while i < len(ws):
-                ci = ws[i]
-                i += 1
-                c = self.clauses[ci]
-                if c is None:
-                    continue  # deleted clause, drop watch
-                if c[0] == -p:
-                    c[0], c[1] = c[1], c[0]
+        trail, val, watches, clauses = self.trail, self.val, self.watches, self.clauses
+        level, reason = self.level, self.reason
+        lvl = len(self.trail_lim)
+        head = start = self.qhead
+        confl = None
+        while head < len(trail):
+            false_lit = -trail[head]
+            head += 1
+            ws = watches[false_lit]
+            kept = moved = 0  # watches kept in place and moved elsewhere
+            for ci in ws:
+                c = clauses[ci]
                 first = c[0]
-                if self._value(first) == _TRUE:
-                    ws[j] = ci
-                    j += 1
+                if first == false_lit:
+                    first = c[1]
+                    c[0] = first
+                    c[1] = false_lit
+                first_val = val[first]
+                if first_val == _TRUE:
+                    ws[kept] = ci
+                    kept += 1
                     continue
-                moved = False
-                for k in range(2, len(c)):
-                    if self._value(c[k]) != _FALSE:
-                        c[1], c[k] = c[k], c[1]
-                        self.watches[self._code(c[1])].append(ci)
-                        moved = True
-                        break
-                if moved:
-                    continue
-                ws[j] = ci
-                j += 1
-                if self._value(first) == _FALSE:
-                    conflict = ci
-                    while i < len(ws):
-                        ws[j] = ws[i]
-                        j += 1
-                        i += 1
+                n = len(c)
+                if n > 2:  # a binary clause has no other literal to watch
+                    for k in range(2, n):
+                        lit = c[k]
+                        if val[lit] != _FALSE:
+                            c[k] = c[1]
+                            c[1] = lit
+                            watches[lit].append(ci)
+                            moved += 1
+                            break
+                    else:
+                        lit = 0
+                    if lit:
+                        continue
+                ws[kept] = ci
+                kept += 1
+                if first_val == _FALSE:
+                    confl = ci
                     break
-                self._enqueue(first, ci)
-            del ws[j:]
-            if conflict is not None:
-                return conflict
-        return None
+                val[first] = _TRUE
+                val[-first] = _FALSE
+                v = first if first > 0 else -first
+                level[v] = lvl
+                reason[v] = ci
+                trail.append(first)
+            if confl is not None:
+                del ws[kept:kept + moved]
+                break
+            del ws[kept:]
+        self.propagations += head - start
+        self.qhead = head
+        return confl
 
     def _cancel_until(self, lvl: int) -> None:
         if len(self.trail_lim) <= lvl:
             return
         bound = self.trail_lim[lvl]
-        for lit in reversed(self.trail[bound:]):
-            v = abs(lit)
-            self.assign[v] = _UNDEF
-            self.reason[v] = None
-            heappush(self.heap, (-self.activity[v], v))
+        val, phase, activity, heap = self.val, self.phase, self.activity, self.heap
+        for lit in self.trail[bound:]:
+            val[lit] = val[-lit] = _UNDEF
+            v = lit if lit > 0 else -lit
+            # the saved phase is the sign of the variable's last assignment
+            phase[v] = lit > 0
+            heappush(heap, (-activity[v], v))
         del self.trail[bound:]
         del self.trail_lim[lvl:]
         self.qhead = len(self.trail)
-        if len(self.heap) > 4 * self.nvars:
-            # drop the entries of assigned variables and the outdated ones;
-            # an unassigned variable's best entry already holds its current
-            # activity (barring a rescale since it was pushed), so no
-            # decision changes
-            self.heap = [(-self.activity[v], v) for v in range(1, self.nvars + 1)
-                         if self.assign[v] == _UNDEF]
-            heapify(self.heap)
+        if len(heap) > 4 * self.nvars:
+            # every unassigned variable's best entry already holds its
+            # current activity, so dropping the others changes no decision
+            self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        """One entry per unassigned variable, keyed by its current activity."""
+        val, activity = self.val, self.activity
+        self.heap = [(-activity[v], v) for v in range(1, self.nvars + 1) if val[v] == _UNDEF]
+        heapify(self.heap)
 
     # -- analysis ----------------------------------------------------------
 
-    def _bump_var(self, v: int) -> None:
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
-            for u in range(1, self.nvars + 1):
-                self.activity[u] *= 1e-100
-            self.var_inc *= 1e-100
-        if self.assign[v] == _UNDEF:
-            heappush(self.heap, (-self.activity[v], v))
+    def _rescale_activity(self) -> None:
+        activity = self.activity
+        for u in range(1, self.nvars + 1):
+            activity[u] *= 1e-100
+        self.var_inc *= 1e-100
+        # the heap keys still hold the old scale
+        self._rebuild_heap()
 
     def _bump_clause(self, ci: int) -> None:
         if ci in self.learned:
@@ -238,46 +240,54 @@ class InternalSolver:
                 self.cla_inc *= 1e-20
 
     def _analyze(self, confl: int) -> tuple[list[int], int]:
+        clauses, trail, level, activity = self.clauses, self.trail, self.level, self.activity
         learnt = [0]
+        # back: the highest level below the conflict level; kmax: the
+        # position of its last literal in learnt, which gets watched
+        back = kmax = 0
         seen = bytearray(self.nvars + 1)
         counter = 0
-        p = None
-        index = len(self.trail)
+        p = 0  # no literal is 0
+        index = len(trail)
         cur_level = len(self.trail_lim)
-        c = self.clauses[confl]
-        self._bump_clause(confl)
+        var_inc = self.var_inc
+        ci = confl
         while True:
-            for q in c:
-                if p is not None and q == p:
+            self._bump_clause(ci)
+            for q in clauses[ci]:
+                if q == p:
                     continue
-                v = abs(q)
-                if not seen[v] and self.level[v] > 0:
+                v = q if q > 0 else -q
+                if seen[v]:
+                    continue
+                lv = level[v]
+                if lv:
                     seen[v] = 1
-                    self._bump_var(v)
-                    if self.level[v] >= cur_level:
+                    # every variable of an analysed clause is assigned, so
+                    # its bump pushes no heap entry
+                    activity[v] += var_inc
+                    if activity[v] > 1e100:
+                        self._rescale_activity()
+                        var_inc = self.var_inc
+                    if lv >= cur_level:
                         counter += 1
                     else:
+                        if lv >= back:
+                            back, kmax = lv, len(learnt)
                         learnt.append(q)
-            while True:
+            index -= 1
+            p = trail[index]
+            while not seen[p if p > 0 else -p]:
                 index -= 1
-                if seen[abs(self.trail[index])]:
-                    break
-            p = self.trail[index]
-            v = abs(p)
+                p = trail[index]
+            v = p if p > 0 else -p
             seen[v] = 0
             counter -= 1
-            if counter == 0:
+            if not counter:
                 break
             ci = self.reason[v]
-            c = self.clauses[ci]
-            self._bump_clause(ci)
         learnt[0] = -p
-        if len(learnt) == 1:
-            back = 0
-        else:
-            # second-highest decision level, with that literal watched
-            levels = [(self.level[abs(q)], k) for k, q in enumerate(learnt) if k > 0]
-            back, kmax = max(levels)
+        if kmax:
             learnt[1], learnt[kmax] = learnt[kmax], learnt[1]
         self.var_inc /= 0.95
         self.cla_inc /= 0.999
@@ -294,16 +304,19 @@ class InternalSolver:
             self.clauses[ci] = None
             self.learned.discard(ci)
             self.clause_act.pop(ci, None)
+        # propagation never meets a deleted clause: its watches go now
+        clauses = self.clauses
+        for ws in self.watches:
+            ws[:] = [ci for ci in ws if clauses[ci] is not None]
 
     # -- decisions ---------------------------------------------------------
 
     def _pick_branch_var(self) -> int | None:
-        while self.heap:
-            _, v = heappop(self.heap)
-            if self.assign[v] == _UNDEF:
-                return v
-        for v in range(1, self.nvars + 1):
-            if self.assign[v] == _UNDEF:
+        # every unassigned variable has a heap entry keyed by its activity
+        heap, val = self.heap, self.val
+        while heap:
+            v = heappop(heap)[1]
+            if val[v] == _UNDEF:
                 return v
         return None
 
@@ -334,10 +347,11 @@ class InternalSolver:
         if self.root_conflict:
             return SolveResult(Status.UNSAT, stats=stats())
         for lit in assumptions:
-            if abs(lit) > self.nvars:
+            if not 0 < abs(lit) <= self.nvars:
                 raise SolverError(f"assumption literal {lit} out of range")
 
         self._cancel_until(0)
+        val = self.val
         restart_round = 0
         conflicts_this_round = 0
         budget = 100 * self._luby(restart_round)
@@ -352,14 +366,19 @@ class InternalSolver:
                     return SolveResult(Status.UNSAT, stats=stats())
                 learnt, back = self._analyze(confl)
                 self._cancel_until(back)
-                ci = self._add_clause(list(learnt), learned=True) if len(learnt) > 1 else None
                 if len(learnt) == 1:
-                    if self._value(learnt[0]) == _FALSE:
+                    if val[learnt[0]] == _FALSE:
                         self.root_conflict = True
                         return SolveResult(Status.UNSAT, stats=stats())
-                    if self._value(learnt[0]) == _UNDEF:
+                    if val[learnt[0]] == _UNDEF:
                         self._enqueue(learnt[0], None)
                 else:
+                    ci = len(self.clauses)
+                    self.clauses.append(learnt)
+                    self.watches[learnt[0]].append(ci)
+                    self.watches[learnt[1]].append(ci)
+                    self.learned.add(ci)
+                    self.clause_act[ci] = self.cla_inc
                     self._enqueue(learnt[0], ci)
                 if len(self.learned) > self.max_learned:
                     self._reduce_db()
@@ -376,21 +395,24 @@ class InternalSolver:
                 self._cancel_until(0)
                 continue
 
+            # a conflict-free search still looks at the clock; this comes
+            # before the heap pop, which must be followed by a decision
+            if self.decisions % 1024 == 0 and time_limit is not None:
+                if time.monotonic() - start > time_limit:
+                    return SolveResult(Status.UNKNOWN, stats=stats())
+
             # establish assumptions in order
             next_lit = None
-            for k, lit in enumerate(assumptions):
-                val = self._value(lit)
-                if val == _FALSE:
+            for lit in assumptions:
+                if val[lit] == _FALSE:
                     return SolveResult(Status.UNSAT, stats=stats())
-                if val == _UNDEF:
+                if val[lit] == _UNDEF:
                     next_lit = lit
                     break
             if next_lit is None:
                 v = self._pick_branch_var()
                 if v is None:
-                    model = [False] * (self.nvars + 1)
-                    for u in range(1, self.nvars + 1):
-                        model[u] = self.assign[u] == _TRUE
+                    model = [x == _TRUE for x in val[:self.nvars + 1]]
                     _check_model(self.instance, model)
                     result = SolveResult(Status.SAT, model=model, stats=stats())
                     self._cancel_until(0)

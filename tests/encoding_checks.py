@@ -8,7 +8,7 @@ from swapsat.cnf import CnfInstance
 from swapsat.encoder import TwoWayEncoder
 
 
-def exhaustive_models(cnf: CnfInstance, chunk_bits: int = 22) -> list[tuple[bool, ...]]:
+def exhaustive_models(cnf: CnfInstance, chunk_bits: int = 16) -> list[tuple[bool, ...]]:
     """All satisfying assignments by full truth-table sweep (vectorized)."""
     n = cnf.num_vars
     total = 1 << n
@@ -16,12 +16,13 @@ def exhaustive_models(cnf: CnfInstance, chunk_bits: int = 22) -> list[tuple[bool
     models = []
     for base in range(0, total, step):
         idx = np.arange(base, base + step, dtype=np.uint64)
+        # each variable's bit column, computed once per chunk
+        cols = [None] + [(idx >> np.uint64(v - 1)) & np.uint64(1) == 1 for v in range(1, n + 1)]
         alive = np.ones(step, dtype=bool)
         for clause in cnf.clauses:
             sat = np.zeros(step, dtype=bool)
             for lit in clause:
-                col = (idx >> np.uint64(abs(lit) - 1)) & np.uint64(1)
-                sat |= (col == 1) if lit > 0 else (col == 0)
+                sat |= cols[lit] if lit > 0 else ~cols[-lit]
             alive &= sat
             if not alive.any():
                 break

@@ -1,4 +1,5 @@
 import random
+from heapq import heappush
 from itertools import combinations, product
 
 import pytest
@@ -105,6 +106,31 @@ def test_incremental_reuse():
     assert result.model[b] and result.model[c]
 
 
+def test_incremental_growth_rounds():
+    """One solver over six rounds, each adding variables and clauses.
+
+    The literal-indexed lists move their negative half whenever the
+    instance grows, so every round's answer is checked by brute force.
+    """
+    rng = random.Random(14)
+    sizes = [1] + [2] * 4 + [3] * 10 + [4] * 5
+    for _ in range(20):
+        cnf = CnfInstance()
+        solver = InternalSolver(cnf)
+        for _ in range(6):
+            cnf.new_vars(2)
+            n = cnf.num_vars
+            for _ in range(4):
+                vars_ = rng.sample(range(1, n + 1), min(rng.choice(sizes), n))
+                cnf.add_clause([v if rng.random() < 0.5 else -v for v in vars_])
+            assumptions = [v if rng.random() < 0.5 else -v
+                           for v in rng.sample(range(1, n + 1), rng.randint(0, 2))]
+            result = solver.solve(assumptions)
+            assert (result.status is Status.SAT) == brute_force_sat(cnf, assumptions)
+            if result.status is Status.SAT:
+                assert all(result.model[abs(l)] == (l > 0) for l in assumptions)
+
+
 def test_assumption_out_of_range():
     cnf = CnfInstance()
     cnf.new_var()
@@ -122,6 +148,35 @@ def test_time_limit_unknown():
     cnf = pigeonhole(8)  # hard enough to exceed a microscopic budget
     result = InternalSolver(cnf).solve(time_limit=1e-4)
     assert result.status in (Status.UNKNOWN, Status.UNSAT)
+
+
+def test_time_limit_without_conflicts():
+    """A long conflict-free search still looks at the clock."""
+    cnf = CnfInstance()
+    x = cnf.new_vars(30000)
+    for a, b in zip(x, x[1:]):
+        cnf.add_clause([-a, b])
+    assert InternalSolver(cnf).solve(time_limit=1e-3).status is Status.UNKNOWN
+
+
+def test_activity_rescale_rebuilds_heap():
+    """After an activity rescale every heap key is the current activity."""
+    cnf = CnfInstance()
+    a, b, c = cnf.new_vars(3)
+    cnf.add_clause([a, b])
+    cnf.add_clause([a, -b])
+    solver = InternalSolver(cnf)
+    solver._ingest()
+    solver.activity[c] = 5.0
+    heappush(solver.heap, (-5.0, c))  # what bumping the unassigned c leaves
+    solver.trail_lim.append(len(solver.trail))
+    solver._enqueue(-a, None)
+    confl = solver._propagate()
+    assert confl is not None
+    solver.var_inc = 2e100  # bumping a and b passes the rescale threshold of 1e100
+    solver._analyze(confl)
+    assert solver.var_inc < 1e50
+    assert all(key == -solver.activity[v] for key, v in solver.heap)
 
 
 def test_external_backend_roundtrip():
