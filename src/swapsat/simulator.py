@@ -1,4 +1,11 @@
-"""Dense statevector simulation for equivalence checking at desk scale."""
+"""Dense statevector simulation for equivalence checking at desk scale.
+
+A state on n qubits is a vector of 2**n amplitudes with qubit 0 as the high
+bit of the index; a batch of B states is the C-contiguous (2**n, B) matrix
+holding them as columns.  A one-qubit gate is one matrix product over a
+reshaped view of the batch, and `cx` and `swap` permute its rows, so each
+gate costs one numpy call whatever the batch width.
+"""
 from __future__ import annotations
 
 import math
@@ -21,14 +28,6 @@ _FIXED_1Q = {
     "tdg": np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex),
 }
 
-# basis order (c, d): 00, 01, 10, 11
-_CX = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-_SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-
 
 def _u3(theta: float, phi: float, lam: float) -> np.ndarray:
     ct, st = math.cos(theta / 2), math.sin(theta / 2)
@@ -42,12 +41,9 @@ def _u3(theta: float, phi: float, lam: float) -> np.ndarray:
 
 
 def gate_matrix(name: str, params: tuple[str, ...]) -> np.ndarray:
+    """The 2x2 matrix of a one-qubit gate (`cx` and `swap` are row permutations)."""
     if name in _FIXED_1Q:
         return _FIXED_1Q[name]
-    if name == "cx":
-        return _CX
-    if name == "swap":
-        return _SWAP
     vals = [eval_param(p) for p in params]
     if name == "rx":
         return _u3(vals[0], -math.pi / 2, math.pi / 2)
@@ -66,38 +62,46 @@ def gate_matrix(name: str, params: tuple[str, ...]) -> np.ndarray:
     raise ValueError(f"no matrix for gate '{name}'")
 
 
-def apply_gate(state: np.ndarray, name: str, qubits: tuple[int, ...],
-               params: tuple[str, ...] = ()) -> np.ndarray:
-    """Apply one gate to a state shaped (2,)*n, qubit i on axis i."""
-    mat = gate_matrix(name, params)
-    k = len(qubits)
-    tensor = mat.reshape((2,) * (2 * k))
-    state = np.tensordot(tensor, state, axes=(list(range(k, 2 * k)), list(qubits)))
-    return np.moveaxis(state, list(range(k)), list(qubits))
+def _permutation(name: str, qubits: tuple[int, ...], n: int) -> np.ndarray:
+    """Row order that applies `cx` or `swap` on n qubits: new[i] = old[perm[i]]."""
+    a, b = (n - 1 - q for q in qubits)  # bit positions, qubit 0 the high bit
+    idx = np.arange(1 << n)
+    if name == "cx":
+        return idx ^ (((idx >> a) & 1) << b)
+    if name == "swap":
+        differ = ((idx >> a) ^ (idx >> b)) & 1
+        return idx ^ ((differ << a) | (differ << b))
+    raise ValueError(f"no row permutation for gate '{name}'")
 
 
 def simulate(circuit: Circuit, state: np.ndarray | None = None) -> np.ndarray:
-    """Run the circuit on `state` (default all-zeros); measures/barriers skipped."""
+    """Run the circuit on `state` (default all-zeros); measures/barriers skipped.
+
+    `state` is a (2**n, B) batch whose columns are states, returned as the
+    batch of outputs, or one state with 2**n amplitudes (shaped (2,)*n, or
+    flat), returned shaped (2,)*n.
+    """
     n = circuit.num_qubits
+    dim = 1 << n
     if state is None:
-        state = np.zeros((2,) * n, dtype=complex)
-        state[(0,) * n] = 1.0
-    else:
-        state = np.asarray(state, dtype=complex).reshape((2,) * n)
+        state = np.zeros(dim, dtype=complex)
+        state[0] = 1.0
+    state = np.asarray(state, dtype=complex)
+    single = not (state.ndim == 2 and state.shape[0] == dim and state.shape != (2,) * n)
+    batch = np.ascontiguousarray(state.reshape(dim, 1) if single else state)
+    perms: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
     for g in circuit.gates:
         if g.name in ("measure", "barrier"):
             continue
-        state = apply_gate(state, g.name, g.qubits, g.params)
-    return state
-
-
-def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
-    vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    vec /= np.linalg.norm(vec)
-    return vec.reshape((2,) * n)
-
-
-def basis_state(n: int, index: int) -> np.ndarray:
-    state = np.zeros((2,) * n, dtype=complex)
-    state[tuple((index >> (n - 1 - i)) & 1 for i in range(n))] = 1.0
-    return state
+        if len(g.qubits) == 1:
+            q = g.qubits[0]
+            shape = batch.shape
+            batch = np.matmul(gate_matrix(g.name, g.params),
+                              batch.reshape(1 << q, 2, -1)).reshape(shape)
+        else:
+            key = (g.name, g.qubits)
+            perm = perms.get(key)
+            if perm is None:
+                perm = perms[key] = _permutation(g.name, g.qubits, n)
+            batch = batch[perm]
+    return batch.reshape((2,) * n) if single else batch
