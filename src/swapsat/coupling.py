@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -30,10 +31,10 @@ class CouplingGraph:
                 raise CouplingError(f"self-loop on qubit {u}")
             if not (0 <= u < v < self.num_physical):
                 raise CouplingError(f"edge ({u},{v}) out of range or unnormalized")
-        if self.num_physical > 0 and not self._connected():
+        if self.num_physical > 0 and not self.is_connected():
             warnings.warn(f"coupling graph '{self.name}' is disconnected", stacklevel=3)
 
-    def _connected(self) -> bool:
+    def is_connected(self) -> bool:
         if self.num_physical <= 1:
             return True
         adj = self.adjacency()
@@ -77,6 +78,108 @@ def distance2_pairs(graph: CouplingGraph) -> BridgePaths:
                 if p < q and (p, q) not in graph.edges:
                     middles.setdefault((p, q), []).append(m)
     return BridgePaths({key: tuple(middles[key]) for key in sorted(middles)})
+
+
+def connected_sets(graph: CouplingGraph, size: int) -> Iterator[tuple[int, ...]]:
+    """Every connected set of `size` nodes, exactly once, as a sorted tuple.
+
+    ESU (Wernicke, WABI 2005): a set grows from its least node v by one node
+    of its extension at a time.  The extension holds only nodes above v, and
+    a new node's neighbours join it only if they were not already next to
+    the set, so no set is reached twice.  Sets are bit masks while growing.
+    """
+    adj = [sum(1 << u for u in nbrs) for nbrs in graph.adjacency()]
+
+    def grow(sub: int, near: int, ext: int, above: int, count: int) -> Iterator[int]:
+        if count == size:
+            yield sub
+            return
+        while ext:
+            bit = ext & -ext
+            ext ^= bit
+            w = bit.bit_length() - 1
+            yield from grow(sub | bit, near | adj[w], ext | (adj[w] & above & ~near),
+                            above, count + 1)
+
+    if size < 1:
+        return
+    for v in range(graph.num_physical):
+        above = -1 << (v + 1)  # every node above v
+        for sub in grow(1 << v, adj[v] | 1 << v, adj[v] & above, above, 1):
+            nodes = []
+            while sub:
+                bit = sub & -sub
+                nodes.append(bit.bit_length() - 1)
+                sub ^= bit
+            yield tuple(nodes)
+
+
+def induced_edges(adj: list[set[int]], nodes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Sorted edges among `nodes` (a sorted tuple), relabelled 0..s-1 in order."""
+    local = {v: i for i, v in enumerate(nodes)}
+    return tuple(sorted((local[u], local[v]) for u in nodes for v in adj[u]
+                        if v > u and v in local))
+
+
+def induced_subgraph(graph: CouplingGraph, nodes: tuple[int, ...]) -> CouplingGraph:
+    """The subgraph induced by `nodes` (sorted); node i is `nodes[i]`."""
+    return CouplingGraph(len(nodes), frozenset(induced_edges(graph.adjacency(), nodes)),
+                         f"{graph.name}{list(nodes)}")
+
+
+def shape_key(num_nodes: int, edges) -> tuple:
+    """Exact isomorphism invariant: the graph's canonical edge list.
+
+    Colour refinement splits the nodes into classes that any isomorphism
+    preserves.  While a class has several nodes, each of them in turn is
+    given a colour of its own and the colours are refined again; every
+    branch ends in a labelling, and the key is the least edge list over
+    those labellings.  The set of labellings depends only on the graph up
+    to isomorphism, so two graphs share a key exactly when they are
+    isomorphic.  Twins (nodes with equal neighbours apart from each other)
+    are swapped by an automorphism that fixes every earlier choice, so
+    their branches end in the same edge lists and one twin per class is
+    tried; this keeps dense shapes such as cliques from costing s!.
+    """
+    adj: list[set[int]] = [set() for _ in range(num_nodes)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def refine(colour: list[int]) -> list[int]:
+        classes = len(set(colour))
+        while True:
+            sig = [(colour[v], tuple(sorted(colour[u] for u in adj[v])))
+                   for v in range(num_nodes)]
+            ranks = {s: i for i, s in enumerate(sorted(set(sig)))}
+            colour = [ranks[s] for s in sig]
+            if len(ranks) == classes:
+                return colour
+            classes = len(ranks)
+
+    best = None
+
+    def search(colour: list[int]) -> None:
+        nonlocal best
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colour):
+            cells.setdefault(c, []).append(v)
+        split = [c for c in sorted(cells) if len(cells[c]) > 1]
+        if not split:
+            form = tuple(sorted((min(colour[u], colour[v]), max(colour[u], colour[v]))
+                                for u, v in edges))
+            if best is None or form < best:
+                best = form
+            return
+        tried: list[int] = []
+        for v in cells[min(split, key=lambda c: len(cells[c]))]:
+            if any(adj[v] - {r} == adj[r] - {v} for r in tried):
+                continue
+            tried.append(v)
+            search(refine([2 * c + (u != v) for u, c in enumerate(colour)]))
+
+    search(refine([0] * num_nodes))
+    return num_nodes, best
 
 
 def linear_graph(n: int) -> CouplingGraph:

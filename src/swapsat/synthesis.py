@@ -1,9 +1,9 @@
-"""Incremental synthesis loop, model decoding, and circuit reconstruction.
+"""Synthesis loop, model decoding, and circuit reconstruction.
 
-synthesize() grows the step encoding until the instance is satisfiable under
-the "nothing delayed" assumption; the first satisfiable step count is the
-minimal number of inserted SWAP/bridge actions, with the preceding UNSAT
-answers as the optimality certificate.
+synthesize() asks, for k = 0, 1, ..., whether k actions suffice under the
+"nothing delayed" assumption; the first satisfiable k is the minimal number
+of inserted SWAP/bridge actions, with the preceding UNSAT answers (per
+subgraph shape, or on the whole device) as the optimality certificate.
 """
 from __future__ import annotations
 
@@ -11,7 +11,8 @@ import time
 from dataclasses import dataclass
 
 from .circuit import Circuit, CnotSlice, Gate, circuit_depth, extract_cnot_slice
-from .coupling import CouplingGraph
+from .coupling import (CouplingGraph, connected_sets, induced_edges, induced_subgraph,
+                       shape_key)
 from .dag import DepDag, build_dependency_dag, build_relaxed_dag
 from .encoder import EncodeOptions, TwoWayEncoder
 from .solver import Status, make_solver
@@ -284,10 +285,11 @@ def reconstruct(plan: Plan, circuit: Circuit, dag: DepDag, num_physical: int) ->
 
 def compute_metrics(plan: Plan | None, original: Circuit, mapped: Circuit | None,
                     status: str, step_times: list[float], total_time: float,
-                    lower_bound: int = 0) -> dict:
+                    lower_bound: int = 0, shapes: list[int] = ()) -> dict:
     metrics = {
         "status": status,
         "step_times": [round(x, 6) for x in step_times],
+        "shapes": list(shapes),
         "total_time": round(total_time, 6),
     }
     if plan is None:
@@ -305,6 +307,67 @@ def compute_metrics(plan: Plan | None, original: Circuit, mapped: Circuit | None
     return metrics
 
 
+class _Stopped(Exception):
+    """The step budget or the time limit ran out before an optimal answer."""
+
+
+def _interaction_connected(slice_: CnotSlice) -> bool:
+    """True when the two-qubit gates connect every qubit that takes part in one."""
+    adj: dict[int, set[int]] = {}
+    for a, b in slice_.logical_pairs():
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    if not adj:
+        return True
+    start = next(iter(adj))
+    seen, todo = {start}, [start]
+    while todo:
+        for u in adj[todo.pop()] - seen:
+            seen.add(u)
+            todo.append(u)
+    return len(seen) == len(adj)
+
+
+def _level_shapes(coupling: CouplingGraph, adj: list[set[int]], size: int,
+                  deadline: float | None) -> list[tuple[int, ...]] | None:
+    """One node set per isomorphism class of connected `size`-node subgraphs.
+
+    None once the classes found total at least the device's node count:
+    solving them would then cost more than solving the device.  Keys are
+    memoised on a set's local edge list, which lattice regularity makes
+    most sets share.
+    """
+    memo: dict[tuple, tuple] = {}
+    found: dict[tuple, tuple[int, ...]] = {}
+    for nodes in connected_sets(coupling, size):
+        if deadline is not None and time.monotonic() > deadline:
+            raise _Stopped
+        local = induced_edges(adj, nodes)
+        key = memo.get(local)
+        if key is None:
+            key = memo[local] = shape_key(size, local)
+        if key not in found:
+            found[key] = nodes
+            if len(found) * size >= coupling.num_physical:
+                return None
+    return list(found.values())
+
+
+def _lift(plan: Plan, nodes: tuple[int, ...]) -> Plan:
+    """A plan on the subgraph induced by `nodes`, in device labels."""
+    steps = []
+    for s in plan.steps:
+        a = s.action
+        if isinstance(a, Swap):
+            a = Swap(nodes[a.p], nodes[a.q])
+        elif isinstance(a, Bridge):
+            a = Bridge(a.cnot_id, nodes[a.control_phys], nodes[a.middle_phys],
+                       nodes[a.data_phys])
+        steps.append(PlanStep(a, s.cnots))
+    return Plan(tuple(nodes[p] for p in plan.initial_map), tuple(steps),
+                tuple(nodes[p] for p in plan.final_map))
+
+
 def synthesize(
     circuit: Circuit,
     coupling: CouplingGraph,
@@ -312,38 +375,77 @@ def synthesize(
     limits: Limits = Limits(),
     solver_spec: str = "internal",
 ) -> MappedResult:
+    """The least k such that k actions suffice, proven by refuting k-1, ..., 0.
+
+    A plan with k actions uses at most n+k places: the n initial ones, one
+    new place per SWAP, one middle per bridge.  When the two-qubit gates
+    connect all active qubits, the places those qubits visit are connected;
+    idle qubits can sit anywhere else, since with every smaller k refuted
+    no action moves them alone.  So on a connected device, level k is
+    decided on the distinct connected induced subgraphs ("shapes") of n+k
+    nodes: UNSAT when every shape is, SAT with the first satisfiable
+    shape's plan in device labels.  The device is the single shape when n+k reaches its
+    size, when either graph is disconnected, or when the shapes total at
+    least its node count; its encoder and solver grow from level to level.
+    """
     start = time.monotonic()
+    deadline = None if limits.time_limit is None else start + limits.time_limit
     slice_ = extract_cnot_slice(circuit)
     dag = build_dag(slice_, circuit, options.relaxed)
-    encoder = TwoWayEncoder(circuit.num_qubits, slice_, dag, coupling, options)
-    solver = make_solver(encoder.cnf, solver_spec)
+    n, n_p = circuit.num_qubits, coupling.num_physical
+    device = TwoWayEncoder(n, slice_, dag, coupling, options)
+    device_solver = None
+    splittable = coupling.is_connected() and _interaction_connected(slice_)
+    adj = coupling.adjacency() if splittable else []
 
     step_times: list[float] = []
-    t = 0
-    while True:
-        if limits.max_steps is not None and t > limits.max_steps:
-            return MappedResult(None, None, compute_metrics(
-                None, circuit, None, "timeout", step_times,
-                time.monotonic() - start, lower_bound=t))
-        encoder.build_step(t)
-        budget = None
-        if limits.time_limit is not None:
-            # the budget covers encoding as well as solving
-            budget = limits.time_limit - (time.monotonic() - start)
-            if budget <= 0:
-                return MappedResult(None, None, compute_metrics(
-                    None, circuit, None, "timeout", step_times,
-                    time.monotonic() - start, lower_bound=t))
-        result = solver.solve([encoder.assumption_literal(t)], time_limit=budget)
-        step_times.append(result.stats.get("time", 0.0))
-        if result.status is Status.SAT:
-            plan = decode_model(result.model, encoder, t)
-            mapped = reconstruct(plan, circuit, dag, coupling.num_physical)
-            metrics = compute_metrics(plan, circuit, mapped, "optimal",
-                                      step_times, time.monotonic() - start)
-            return MappedResult(plan, mapped, metrics)
-        if result.status is Status.UNKNOWN:
-            return MappedResult(None, None, compute_metrics(
-                None, circuit, None, "timeout", step_times,
-                time.monotonic() - start, lower_bound=t))
-        t += 1
+    shapes: list[int] = []
+    k = 0
+    try:
+        while True:
+            if limits.max_steps is not None and k > limits.max_steps:
+                raise _Stopped
+            level = None
+            if splittable and n + k < n_p:
+                level = _level_shapes(coupling, adj, n + k, deadline)
+            for nodes in level or [None]:
+                if nodes is None:
+                    encoder = device
+                    while encoder.built_steps <= k:
+                        encoder.build_step(encoder.built_steps)
+                    if device_solver is None:
+                        device_solver = make_solver(encoder.cnf, solver_spec)
+                    solver = device_solver
+                else:
+                    encoder = TwoWayEncoder(n, slice_, dag, induced_subgraph(coupling, nodes),
+                                            options)
+                    for t in range(k + 1):
+                        encoder.build_step(t)
+                    solver = make_solver(encoder.cnf, solver_spec)
+                budget = None
+                if deadline is not None:
+                    # the budget covers enumeration and encoding as well as solving
+                    budget = deadline - time.monotonic()
+                    if budget <= 0:
+                        raise _Stopped
+                result = solver.solve([encoder.assumption_literal(k)], time_limit=budget)
+                if len(step_times) == k:
+                    step_times.append(0.0)
+                    shapes.append(0)
+                step_times[k] += result.stats.get("time", 0.0)
+                shapes[k] += 1
+                if result.status is Status.SAT:
+                    plan = decode_model(result.model, encoder, k)
+                    if nodes is not None:
+                        plan = _lift(plan, nodes)
+                    mapped = reconstruct(plan, circuit, dag, n_p)
+                    metrics = compute_metrics(plan, circuit, mapped, "optimal", step_times,
+                                              time.monotonic() - start, shapes=shapes)
+                    return MappedResult(plan, mapped, metrics)
+                if result.status is Status.UNKNOWN:
+                    raise _Stopped
+            k += 1
+    except _Stopped:
+        return MappedResult(None, None, compute_metrics(
+            None, circuit, None, "timeout", step_times, time.monotonic() - start,
+            lower_bound=k, shapes=shapes))

@@ -24,6 +24,8 @@ def test_map_basic(circuits_dir, tmp_path, capsys):
     data = json.loads(metrics.read_text())
     assert data["swaps"] == 2 and data["status"] == "optimal"
     assert data["schema"] == "swapsat-metrics-1"
+    # n = n_p = 3: every level is solved on the whole device
+    assert data["shapes"] == [1, 1, 1] and len(data["step_times"]) == 3
     assert data["plan"]["steps"][0]["action"] is None
     assert out.exists()
 
@@ -35,6 +37,8 @@ def test_map_relaxed_melbourne(circuits_dir, tmp_path):
     assert code == 0
     data = json.loads(metrics.read_text())
     assert data["swaps"] + data["bridges"] == 1
+    assert len(data["shapes"]) == len(data["step_times"]) == 2
+    assert min(data["shapes"]) >= 1
 
 
 def test_map_infeasible_platform(circuits_dir, capsys):

@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -6,10 +8,14 @@ from swapsat.coupling import (
     BUILTIN_PLATFORMS,
     CouplingError,
     CouplingGraph,
+    connected_sets,
     distance2_pairs,
     grid_graph,
+    induced_edges,
+    induced_subgraph,
     linear_graph,
     load_coupling,
+    shape_key,
 )
 
 
@@ -56,7 +62,7 @@ def test_builtin_platforms(name, qubits, edges):
     g = load_coupling(name)
     assert g.num_physical == qubits
     assert len(g.edges) == edges
-    assert g._connected()
+    assert g.is_connected()
 
 
 def test_builtin_list_is_complete():
@@ -105,3 +111,123 @@ def test_distance2_pairs_matches_all_pairs_scan(spec):
             if common and not g.connected(p, q):
                 expected[(p, q)] = tuple(common)
     assert distance2_pairs(g).middles == expected
+
+
+def heavy_hex_patch(size=12):
+    """The first `size` nodes of a breadth-first walk of eagle127 from its
+    least degree-3 node, as an induced subgraph."""
+    g = load_coupling("eagle127")
+    adj = g.adjacency()
+    root = min(v for v in range(g.num_physical) if len(adj[v]) == 3)
+    order, todo = [root], [root]
+    while len(order) < size:
+        for u in sorted(adj[todo.pop(0)]):
+            if u not in order and len(order) < size:
+                order.append(u)
+                todo.append(u)
+    return induced_subgraph(g, tuple(sorted(order)))
+
+
+def is_connected_set(adj, nodes):
+    seen, todo = {nodes[0]}, [nodes[0]]
+    while todo:
+        for u in adj[todo.pop()] & set(nodes):
+            if u not in seen:
+                seen.add(u)
+                todo.append(u)
+    return len(seen) == len(nodes)
+
+
+@pytest.mark.parametrize("graph", [grid_graph(3, 3), linear_graph(6), heavy_hex_patch()],
+                         ids=["grid-3x3", "linear-6", "heavy-hex-12"])
+def test_connected_sets_match_subset_scan(graph):
+    adj = graph.adjacency()
+    assert graph.is_connected() and max(len(a) for a in adj) >= 2
+    for size in range(1, 7):
+        got = list(connected_sets(graph, size))
+        assert len(got) == len(set(got)), "a connected set was yielded twice"
+        assert all(list(nodes) == sorted(nodes) for nodes in got)
+        expected = {nodes for nodes in combinations(range(graph.num_physical), size)
+                    if is_connected_set(adj, nodes)}
+        assert set(got) == expected
+    assert list(connected_sets(graph, 0)) == []
+    assert list(connected_sets(graph, graph.num_physical + 1)) == []
+
+
+def test_induced_subgraph_relabels_in_node_order():
+    g = grid_graph(3, 3)
+    sub = induced_subgraph(g, (1, 2, 4, 5, 8))
+    assert sub.num_physical == 5
+    assert sorted(sub.edges) == [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]
+    assert induced_edges(g.adjacency(), (1, 2, 4, 5, 8)) == tuple(sorted(sub.edges))
+
+
+def brute_form(n, edges):
+    """Least sorted edge list over all n! relabellings."""
+    return min(tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
+               for p in permutations(range(n)))
+
+
+def test_shape_key_is_exact_on_all_small_graphs():
+    rng = random.Random(5)
+    for n, classes in ((1, 1), (2, 2), (3, 4), (4, 11), (5, 34)):
+        pairs = list(combinations(range(n), 2))
+        key_of_form: dict = {}
+        form_of_key: dict = {}
+        for mask in range(1 << len(pairs)):
+            edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
+            key, form = shape_key(n, edges), brute_form(n, edges)
+            assert key_of_form.setdefault(form, key) == key, "isomorphic graphs, two keys"
+            assert form_of_key.setdefault(key, form) == form, "one key, two graphs"
+            p = list(range(n))
+            rng.shuffle(p)
+            relabelled = [(min(p[u], p[v]), max(p[u], p[v])) for u, v in edges]
+            assert shape_key(n, relabelled) == key
+        assert len(key_of_form) == classes
+
+
+def test_shape_key_is_exact_on_random_six_node_graphs():
+    rng = random.Random(11)
+    pairs = list(combinations(range(6), 2))
+    key_of_form: dict = {}
+    form_of_key: dict = {}
+    for _ in range(150):
+        density = rng.random()
+        edges = [e for e in pairs if rng.random() < density]
+        key, form = shape_key(6, edges), brute_form(6, edges)
+        assert key_of_form.setdefault(form, key) == key
+        assert form_of_key.setdefault(key, form) == form
+    assert len(key_of_form) > 50
+
+
+def cycle(nodes):
+    return [(min(u, v), max(u, v)) for u, v in zip(nodes, nodes[1:] + nodes[:1])]
+
+
+# regular graphs, on which colour refinement splits nothing: the key rests
+# on the search alone
+REGULAR = {
+    "hexagon": (6, cycle([0, 1, 2, 3, 4, 5])),
+    "two triangles": (6, cycle([0, 1, 2]) + cycle([3, 4, 5])),
+    "prism": (6, cycle([0, 1, 2]) + cycle([3, 4, 5]) + [(0, 3), (1, 4), (2, 5)]),
+    "K3,3": (6, [(u, v) for u in range(3) for v in range(3, 6)]),
+    "triangle + square": (7, cycle([0, 1, 2]) + cycle([3, 4, 5, 6])),
+    "octagon": (8, cycle(list(range(8)))),
+    "two squares": (8, cycle([0, 1, 2, 3]) + cycle([4, 5, 6, 7])),
+    "triangle + pentagon": (8, cycle([0, 1, 2]) + cycle([3, 4, 5, 6, 7])),
+    "cube": (8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b]),
+    "Wagner": (8, cycle(list(range(8))) + [(u, u + 4) for u in range(4)]),
+}
+
+
+def test_shape_key_on_regular_graphs():
+    rng = random.Random(3)
+    keys = {}
+    for name, (n, edges) in REGULAR.items():
+        key = shape_key(n, edges)
+        for _ in range(10):
+            p = list(range(n))
+            rng.shuffle(p)
+            assert shape_key(n, [(min(p[u], p[v]), max(p[u], p[v])) for u, v in edges]) == key, name
+        keys[name] = key
+    assert len(set(keys.values())) == len(REGULAR)

@@ -1,0 +1,171 @@
+"""The ladder decided on subgraph shapes: cross-checks on the whole device,
+the cases that must fall back to the device, and time limits."""
+import json
+from itertools import combinations
+
+import pytest
+
+from conftest import CIRCUITS_DIR
+from swapsat.circuit import Circuit, Gate, extract_cnot_slice
+from swapsat.coupling import CouplingGraph, grid_graph, linear_graph, load_coupling
+from swapsat.encoder import EncodeOptions, TwoWayEncoder
+from swapsat.qasm import parse_qasm
+from swapsat.solver import Status, make_solver
+from swapsat.synthesis import Limits, build_dag, synthesize
+from swapsat.verify import check_structural, check_unitary_equivalence, oracle_min_swaps
+
+
+def cx_circuit(n, pairs, unary=()):
+    gates = [("cx", p) for p in pairs] + [(name, (q,)) for name, q in unary]
+    return Circuit(n, tuple(Gate(name, qubits, index=i)
+                            for i, (name, qubits) in enumerate(gates)))
+
+
+def bundled(name):
+    return parse_qasm((CIRCUITS_DIR / f"{name}.qasm").read_text(), name=name)
+
+
+@pytest.fixture
+def encoder_sizes(monkeypatch):
+    """Node counts of the coupling graphs handed to every new encoder."""
+    sizes = []
+    init = TwoWayEncoder.__init__
+
+    def recording_init(self, num_logical, slice_, dag, coupling, *args, **kwargs):
+        sizes.append(coupling.num_physical)
+        init(self, num_logical, slice_, dag, coupling, *args, **kwargs)
+
+    monkeypatch.setattr(TwoWayEncoder, "__init__", recording_init)
+    return sizes
+
+
+def verified(circuit, coupling, options, result):
+    report = check_structural(circuit, result.mapped_circuit, coupling, result.plan,
+                              relaxed=options.relaxed)
+    return report.passes() and check_unitary_equivalence(
+        circuit, result.mapped_circuit, result.plan.initial_map,
+        result.plan.final_map) is True
+
+
+@pytest.mark.parametrize("name,platform,combo", [
+    ("bv4", "sycamore54", "S"), ("ghz4", "sycamore54", "S"), ("or", "sycamore54", "S"),
+    ("bv4", "rigetti80", "S"), ("ghz4", "rigetti80", "S"), ("or", "rigetti80", "S"),
+    ("bv4", "eagle127", "S"), ("ghz4", "eagle127", "S"), ("or", "eagle127", "S"),
+    ("or", "sycamore54", "SR"),
+])
+def test_shape_optimum_matches_whole_device(name, platform, combo):
+    circuit, coupling = bundled(name), load_coupling(platform)
+    options = EncodeOptions(relaxed="R" in combo)
+    result = synthesize(circuit, coupling, options)
+    k = result.metrics["swaps"] + result.metrics["bridges"]
+    assert verified(circuit, coupling, options, result)
+    # a fresh encoder of the whole device: k-1 actions are refuted, k suffice
+    slice_ = extract_cnot_slice(circuit)
+    enc = TwoWayEncoder(circuit.num_qubits, slice_, build_dag(slice_, circuit, options.relaxed),
+                        coupling, options)
+    solver = make_solver(enc.cnf)
+    for t in range(k + 1):
+        enc.build_step(t)
+    if k >= 1:
+        assert solver.solve([enc.assumption_literal(k - 1)]).status is Status.UNSAT
+    assert solver.solve([enc.assumption_literal(k)]).status is Status.SAT
+
+
+@pytest.mark.parametrize("circuit", [
+    bundled("ring5"),
+    cx_circuit(6, [(0, i) for i in range(1, 6)]),
+], ids=["ring5", "star6"])
+def test_eagle127_paper_regime_optimum(circuit, encoder_sizes):
+    coupling, options = load_coupling("eagle127"), EncodeOptions()
+    result = synthesize(circuit, coupling, options, Limits(time_limit=60))
+    assert result.metrics["status"] == "optimal"
+    assert (result.metrics["swaps"], result.metrics["bridges"]) == (2, 0)
+    assert verified(circuit, coupling, options, result)
+    # every level was decided on shapes, never on the 127-qubit device
+    assert sorted(set(encoder_sizes)) == [circuit.num_qubits + k for k in range(3)] + [127]
+    assert encoder_sizes.count(127) == 1
+    assert len(result.metrics["shapes"]) == len(result.metrics["step_times"]) == 3
+
+
+def oracle_agrees(circuit, coupling, combos=("S", "SB", "SR", "SBR"), ancillary=True):
+    for combo in combos:
+        options = EncodeOptions(ancillary=ancillary, bridges="B" in combo,
+                                relaxed="R" in combo)
+        result = synthesize(circuit, coupling, options)
+        k = result.metrics["swaps"] + result.metrics["bridges"]
+        assert k == oracle_min_swaps(circuit, coupling, options, cap=12), combo
+        assert verified(circuit, coupling, options, result)
+
+
+def test_disconnected_interaction_solves_on_device(encoder_sizes):
+    # a triangle of CNOTs on qubits 0-2 and a separate pair 3-4
+    circuit = cx_circuit(5, [(0, 1), (3, 4), (1, 2), (0, 2), (4, 3)])
+    oracle_agrees(circuit, linear_graph(6))
+    assert set(encoder_sizes) == {6}
+
+
+def test_disconnected_interaction_needs_device():
+    # two stars whose centres are joined through a leaf-path-leaf: 0 actions
+    # place both stars at once, but any connected 8 of the 9 nodes miss a leaf
+    edges = [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 8), (6, 8), (7, 8)]
+    coupling = CouplingGraph(9, frozenset(edges), "two-stars")
+    circuit = cx_circuit(8, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7)])
+    result = synthesize(circuit, coupling)
+    assert result.metrics["swaps"] == 0
+    assert verified(circuit, coupling, EncodeOptions(), result)
+
+
+def test_idle_qubit_keeps_shapes(encoder_sizes):
+    # qubit 3 takes part in no CNOT; the others need SWAPs on a line
+    circuit = cx_circuit(4, [(0, 1), (1, 2), (0, 2), (2, 1), (0, 2)], [("h", 3), ("x", 0)])
+    oracle_agrees(circuit, linear_graph(6))
+    assert min(encoder_sizes) < 6
+
+
+def test_no_ancillas_matches_oracle(encoder_sizes):
+    circuit = cx_circuit(4, [(0, 1), (1, 2), (0, 2), (2, 3), (0, 3), (1, 3)])
+    for coupling in (linear_graph(6), grid_graph(2, 3)):
+        oracle_agrees(circuit, coupling, ancillary=False)
+    assert min(encoder_sizes) < 6
+
+
+def test_disconnected_coupling_file_matches_oracle(tmp_path, encoder_sizes):
+    # a 4-node star and a 5-node path
+    edges = [[0, 1], [0, 2], [0, 3], [4, 5], [5, 6], [6, 7], [7, 8]]
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps({"name": "split", "num_qubits": 9, "edges": edges}))
+    with pytest.warns(UserWarning, match="disconnected"):
+        coupling = load_coupling(f"file:{path}")
+    circuit = cx_circuit(3, [(0, 1), (1, 2), (0, 2), (1, 0)])
+    oracle_agrees(circuit, coupling, combos=("S", "SR"))
+    assert set(encoder_sizes) == {9}
+
+
+def test_time_limit_spans_shapes():
+    ring6 = cx_circuit(6, [(i, (i + 1) % 6) for i in range(6)])
+    eagle = load_coupling("eagle127")
+    result = synthesize(ring6, eagle, limits=Limits(time_limit=2))
+    metrics = result.metrics
+    assert metrics["status"] == "timeout" and result.plan is None
+    assert metrics["total_time"] < 2.5
+    lower = metrics["lower_bound"]
+    # the level in progress when time ran out, or the next one to start
+    assert len(metrics["step_times"]) in (lower, lower + 1)
+    assert len(metrics["shapes"]) == len(metrics["step_times"])
+    # every level below the bound is refuted
+    if lower >= 1:
+        below = synthesize(ring6, eagle, limits=Limits(max_steps=lower - 1))
+        assert below.metrics["status"] == "timeout"
+        assert below.metrics["lower_bound"] == lower
+
+
+def test_time_limit_checked_during_enumeration():
+    # an all-to-all device has one 8-node shape but 125,970 connected 8-node
+    # sets, which take over a second to enumerate
+    complete = CouplingGraph(20, frozenset(combinations(range(20), 2)), "complete-20")
+    line = cx_circuit(8, [(i, i + 1) for i in range(7)])
+    result = synthesize(line, complete, limits=Limits(time_limit=0.05))
+    assert result.metrics["status"] == "timeout"
+    assert result.metrics["lower_bound"] == 0
+    assert result.metrics["step_times"] == [] and result.metrics["shapes"] == []
+    assert result.metrics["total_time"] < 0.3
