@@ -5,6 +5,15 @@ auxiliary variables r[i][j] mean "at least j of the first i literals are
 true".  They are defined by unconditional biconditional clauses, so the
 original literals fix every auxiliary variable and each assignment of the
 original literals extends to at most one model.
+
+At-most-one has two forms.  Pairwise takes n(n-1)/2 binary clauses and no
+auxiliary variable; the counter of width 2 takes 7n-3 clauses and 2n
+variables.  `exactly_one` (each logical qubit's row of places, each step's
+choice of SWAP or bridge) uses whichever form has fewer clauses, so
+pairwise up to 14 literals.  `at_most_one` on its own (each place holding at
+most one logical qubit) keeps pairwise for at most 4 literals only: on
+whole-device instances the pairwise form up to 14 made the solver's proofs
+longer.
 """
 from __future__ import annotations
 
@@ -79,15 +88,19 @@ class CnfInstance:
                     self.add_clause([-r[i][j], r[i - 1][j], below])
         return r
 
+    def _pairwise_at_most_one(self, lits: list[int]) -> None:
+        for a in range(len(lits)):
+            for b in range(a + 1, len(lits)):
+                self.add_clause([-lits[a], -lits[b]])
+
     def at_most_one(self, lits) -> None:
         lits = list(lits)
         if len(lits) <= 1:
             return
         if len(lits) <= 4:
-            # pairwise is smaller for tiny groups
-            for a in range(len(lits)):
-                for b in range(a + 1, len(lits)):
-                    self.add_clause([-lits[a], -lits[b]])
+            # pairwise is smaller for tiny groups; not up to 14 literals as
+            # in exactly_one, which slowed whole-device proofs (module docstring)
+            self._pairwise_at_most_one(lits)
             return
         r = self._sequential_counter(lits, 2)
         self.add_clause([-r[len(lits) - 1][1]])
@@ -97,7 +110,13 @@ class CnfInstance:
         if not lits:
             raise CnfError("exactly_one over no literals is unsatisfiable")
         self.add_clause(lits)
-        self.at_most_one(lits)
+        n = len(lits)
+        # the at-most-one form with fewer clauses: pairwise n(n-1)/2 against
+        # the counter's 7n-3, so pairwise for n <= 14
+        if n * (n - 1) // 2 <= 7 * n - 3:
+            self._pairwise_at_most_one(lits)
+        else:
+            self.at_most_one(lits)
 
     def exactly_two(self, lits) -> None:
         self.exactly_k(lits, 2)

@@ -43,8 +43,14 @@ _TRUE, _FALSE, _UNDEF = 1, -1, 0
 
 
 def _check_model(instance: CnfInstance, model: list[bool]) -> None:
+    # holds[lit] is the value of lit: model[v] for v > 0 and, through
+    # negative indexing, the negation of model[v] at holds[-v]; that needs
+    # one model entry per variable, or holds[-v] would read another one
+    if len(model) != instance.num_vars + 1:
+        raise SolverError(f"model has {len(model) - 1} values for {instance.num_vars} variables")
+    holds = model + [not x for x in reversed(model[1:])]
     for clause in instance.clauses:
-        if not any(model[lit] if lit > 0 else not model[-lit] for lit in clause):
+        if not any(map(holds.__getitem__, clause)):
             raise SolverError(f"model does not satisfy clause {clause}")
 
 

@@ -285,11 +285,13 @@ def reconstruct(plan: Plan, circuit: Circuit, dag: DepDag, num_physical: int) ->
 
 def compute_metrics(plan: Plan | None, original: Circuit, mapped: Circuit | None,
                     status: str, step_times: list[float], total_time: float,
-                    lower_bound: int = 0, shapes: list[int] = ()) -> dict:
+                    lower_bound: int = 0, shapes: list[int] = (),
+                    device_levels: list[int] = ()) -> dict:
     metrics = {
         "status": status,
         "step_times": [round(x, 6) for x in step_times],
         "shapes": list(shapes),
+        "device_levels": list(device_levels),
         "total_time": round(total_time, 6),
     }
     if plan is None:
@@ -330,12 +332,17 @@ def _interaction_connected(slice_: CnotSlice) -> bool:
 
 def _level_shapes(coupling: CouplingGraph, adj: list[set[int]], size: int,
                   deadline: float | None) -> list[tuple[int, ...]] | None:
-    """One node set per isomorphism class of connected `size`-node subgraphs.
+    """One node set per isomorphism class of connected `size`-node subgraphs,
+    densest first.
 
     None once the classes found total at least the device's node count:
     solving them would then cost more than solving the device.  Keys are
     memoised on a set's local edge list, which lattice regularity makes
-    most sets share.
+    most sets share.  The classes are ordered by edge count, then by sorted
+    degree sequence, both descending, ties in enumeration order.  A shape
+    that is a spanning subgraph of another has fewer edges, so no shape
+    comes before one that contains it; the containing one is SAT whenever
+    the contained one is.
     """
     memo: dict[tuple, tuple] = {}
     found: dict[tuple, tuple[int, ...]] = {}
@@ -350,7 +357,16 @@ def _level_shapes(coupling: CouplingGraph, adj: list[set[int]], size: int,
             found[key] = nodes
             if len(found) * size >= coupling.num_physical:
                 return None
-    return list(found.values())
+
+    def density(key: tuple) -> tuple:
+        _, edges = key  # node count and canonical edge list
+        degree = [0] * size
+        for u, v in edges:
+            degree[u] += 1
+            degree[v] += 1
+        return len(edges), sorted(degree, reverse=True)
+
+    return [found[key] for key in sorted(found, key=density, reverse=True)]
 
 
 def _lift(plan: Plan, nodes: tuple[int, ...]) -> Plan:
@@ -400,6 +416,7 @@ def synthesize(
 
     step_times: list[float] = []
     shapes: list[int] = []
+    device_levels: list[int] = []
     k = 0
     try:
         while True:
@@ -434,13 +451,16 @@ def synthesize(
                     shapes.append(0)
                 step_times[k] += result.stats.get("time", 0.0)
                 shapes[k] += 1
+                if nodes is None:
+                    device_levels.append(k)
                 if result.status is Status.SAT:
                     plan = decode_model(result.model, encoder, k)
                     if nodes is not None:
                         plan = _lift(plan, nodes)
                     mapped = reconstruct(plan, circuit, dag, n_p)
                     metrics = compute_metrics(plan, circuit, mapped, "optimal", step_times,
-                                              time.monotonic() - start, shapes=shapes)
+                                              time.monotonic() - start, shapes=shapes,
+                                              device_levels=device_levels)
                     return MappedResult(plan, mapped, metrics)
                 if result.status is Status.UNKNOWN:
                     raise _Stopped
@@ -448,4 +468,4 @@ def synthesize(
     except _Stopped:
         return MappedResult(None, None, compute_metrics(
             None, circuit, None, "timeout", step_times, time.monotonic() - start,
-            lower_bound=k, shapes=shapes))
+            lower_bound=k, shapes=shapes, device_levels=device_levels))

@@ -26,6 +26,7 @@ def test_map_basic(circuits_dir, tmp_path, capsys):
     assert data["schema"] == "swapsat-metrics-1"
     # n = n_p = 3: every level is solved on the whole device
     assert data["shapes"] == [1, 1, 1] and len(data["step_times"]) == 3
+    assert data["device_levels"] == [0, 1, 2]
     assert data["plan"]["steps"][0]["action"] is None
     assert out.exists()
 

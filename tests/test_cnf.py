@@ -84,6 +84,43 @@ def test_at_most_one(n):
     assert len(enumerate_models(cnf, lits)) == n + 1
 
 
+@pytest.mark.parametrize("n", range(2, 31))
+def test_exactly_one_takes_the_smaller_at_most_one(n):
+    # pairwise n(n-1)/2 against the counter's 7n-3, plus the at-least-one clause
+    cnf = CnfInstance()
+    lits = cnf.new_vars(n)
+    cnf.exactly_one(lits)
+    assert len(cnf.clauses) == 1 + min(n * (n - 1) // 2, 7 * n - 3)
+    if n <= 14:
+        assert cnf.num_vars == n
+    else:
+        assert cnf.num_vars == 3 * n
+
+
+@pytest.mark.parametrize("n", range(5, 15))
+def test_at_most_one_keeps_counter_above_four(n):
+    # The per-place family keeps the counter.  Pairwise up to 14 literals
+    # there made whole-device proofs longer: a random 8-qubit, 12-CNOT
+    # circuit on sycamore54 went from 9,409 to 15,013 conflicts.
+    cnf = CnfInstance()
+    lits = cnf.new_vars(n)
+    cnf.at_most_one(lits)
+    assert len(cnf.clauses) == 7 * n - 3
+    assert cnf.num_vars == 3 * n
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_cardinality_model_counts_across_switch(n):
+    cnf = CnfInstance()
+    lits = cnf.new_vars(n)
+    cnf.exactly_one(lits)
+    assert enumerate_models(cnf, lits) == {tuple(i == j for j in range(n)) for i in range(n)}
+    cnf = CnfInstance()
+    lits = cnf.new_vars(n)
+    cnf.at_most_one(lits)
+    assert len(enumerate_models(cnf, lits)) == n + 1
+
+
 def test_sequential_counter_aux_vars_are_determined():
     # biconditional definitions: each lits-assignment extends to exactly one model
     cnf = CnfInstance()
@@ -92,6 +129,13 @@ def test_sequential_counter_aux_vars_are_determined():
     full = enumerate_full_models(cnf)
     projected = {m[:5] for m in full}
     assert len(full) == len(projected) == comb(5, 2)
+    # exactly_one just above the pairwise range uses the counter
+    cnf = CnfInstance()
+    lits = cnf.new_vars(15)
+    cnf.exactly_one(lits)
+    assert cnf.num_vars > 15
+    full = enumerate_full_models(cnf)
+    assert len(full) == len({m[:15] for m in full}) == 15
 
 
 @settings(max_examples=40, deadline=None)
@@ -113,6 +157,22 @@ def test_exactly_k_solver_agreement(n, k, data):
     feasible = n_true <= k and (n - n_false) >= k
     result = solve(cnf, assumptions)
     assert (result.status.value == "SAT") == feasible
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(10, 18), data=st.data())
+def test_exactly_one_solver_agreement(n, data):
+    # both sides of the pairwise/counter switch at 14 literals
+    cnf = CnfInstance()
+    lits = cnf.new_vars(n)
+    cnf.exactly_one(lits)
+    pins = data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    chosen = data.draw(st.sets(st.sampled_from(lits), max_size=n))
+    assumptions = [s * l for s, l in zip(pins, lits) if l in chosen]
+    n_true = sum(1 for a in assumptions if a > 0)
+    n_false = len(assumptions) - n_true
+    feasible = n_true <= 1 and n - n_false >= 1
+    assert (solve(cnf, assumptions).status.value == "SAT") == feasible
 
 
 def test_dimacs_roundtrip():

@@ -7,11 +7,12 @@ import pytest
 
 from conftest import CIRCUITS_DIR
 from swapsat.circuit import Circuit, Gate, extract_cnot_slice
-from swapsat.coupling import CouplingGraph, grid_graph, linear_graph, load_coupling
+from swapsat.coupling import (CouplingGraph, grid_graph, induced_edges, linear_graph,
+                              load_coupling)
 from swapsat.encoder import EncodeOptions, TwoWayEncoder
 from swapsat.qasm import parse_qasm
 from swapsat.solver import Status, make_solver
-from swapsat.synthesis import Limits, build_dag, synthesize
+from swapsat.synthesis import Limits, _level_shapes, build_dag, synthesize
 from swapsat.verify import check_structural, check_unitary_equivalence, oracle_min_swaps
 
 
@@ -71,20 +72,52 @@ def test_shape_optimum_matches_whole_device(name, platform, combo):
     assert solver.solve([enc.assumption_literal(k)]).status is Status.SAT
 
 
-@pytest.mark.parametrize("circuit", [
-    bundled("ring5"),
-    cx_circuit(6, [(0, i) for i in range(1, 6)]),
-], ids=["ring5", "star6"])
-def test_eagle127_paper_regime_optimum(circuit, encoder_sizes):
+@pytest.mark.parametrize("circuit,swaps", [
+    (bundled("ring5"), 2),
+    (cx_circuit(6, [(0, i) for i in range(1, 6)]), 2),
+    (cx_circuit(6, [(i, (i + 1) % 6) for i in range(6)]), 3),
+], ids=["ring5", "star6", "ring6"])
+def test_eagle127_paper_regime_optimum(circuit, swaps, encoder_sizes):
     coupling, options = load_coupling("eagle127"), EncodeOptions()
     result = synthesize(circuit, coupling, options, Limits(time_limit=60))
     assert result.metrics["status"] == "optimal"
-    assert (result.metrics["swaps"], result.metrics["bridges"]) == (2, 0)
+    assert (result.metrics["swaps"], result.metrics["bridges"]) == (swaps, 0)
     assert verified(circuit, coupling, options, result)
     # every level was decided on shapes, never on the 127-qubit device
-    assert sorted(set(encoder_sizes)) == [circuit.num_qubits + k for k in range(3)] + [127]
+    levels = swaps + 1
+    assert sorted(set(encoder_sizes)) == [circuit.num_qubits + k for k in range(levels)] + [127]
     assert encoder_sizes.count(127) == 1
-    assert len(result.metrics["shapes"]) == len(result.metrics["step_times"]) == 3
+    assert len(result.metrics["shapes"]) == len(result.metrics["step_times"]) == levels
+    assert result.metrics["device_levels"] == []
+
+
+# sycamore54 at 6 nodes has 10 shapes, which total more than its 54 nodes,
+# so that level goes to the device
+@pytest.mark.parametrize("platform,size", [
+    ("sycamore54", 4), ("sycamore54", 5),
+    ("rigetti80", 4), ("rigetti80", 5), ("rigetti80", 6),
+])
+def test_level_shapes_densest_first(platform, size):
+    coupling = load_coupling(platform)
+    adj = coupling.adjacency()
+    level = _level_shapes(coupling, adj, size, None)
+    assert level is not None and len(level) > 1
+    density = []
+    for nodes in level:
+        edges = induced_edges(adj, nodes)
+        degree = [sum(v in e for e in edges) for v in range(size)]
+        density.append((len(edges), sorted(degree, reverse=True)))
+    assert density == sorted(density, reverse=True)
+
+
+def test_ring5_rigetti80_tries_the_cycle_first():
+    # three 6-node trees and one 6-node shape with a cycle: the ring needs
+    # the cycle, so the cycle shape is SAT at level 1 and is tried first
+    circuit, coupling = bundled("ring5"), load_coupling("rigetti80")
+    result = synthesize(circuit, coupling)
+    assert result.metrics["shapes"] == [3, 1]
+    assert (result.metrics["swaps"], result.metrics["bridges"]) == (1, 0)
+    assert verified(circuit, coupling, EncodeOptions(), result)
 
 
 def oracle_agrees(circuit, coupling, combos=("S", "SB", "SR", "SBR"), ancillary=True):
@@ -102,6 +135,11 @@ def test_disconnected_interaction_solves_on_device(encoder_sizes):
     circuit = cx_circuit(5, [(0, 1), (3, 4), (1, 2), (0, 2), (4, 3)])
     oracle_agrees(circuit, linear_graph(6))
     assert set(encoder_sizes) == {6}
+    metrics = synthesize(circuit, linear_graph(6)).metrics
+    assert metrics["device_levels"] == list(range(len(metrics["shapes"])))
+    # a timeout keeps the device levels solved before it
+    metrics = synthesize(circuit, linear_graph(6), limits=Limits(max_steps=0)).metrics
+    assert metrics["status"] == "timeout" and metrics["device_levels"] == [0]
 
 
 def test_disconnected_interaction_needs_device():
@@ -152,6 +190,7 @@ def test_time_limit_spans_shapes():
     # the level in progress when time ran out, or the next one to start
     assert len(metrics["step_times"]) in (lower, lower + 1)
     assert len(metrics["shapes"]) == len(metrics["step_times"])
+    assert metrics["device_levels"] == []
     # every level below the bound is refuted
     if lower >= 1:
         below = synthesize(ring6, eagle, limits=Limits(max_steps=lower - 1))

@@ -11,6 +11,7 @@ from swapsat.solver import (
     InternalSolver,
     SolverError,
     Status,
+    _check_model,
     make_solver,
     solve,
 )
@@ -136,6 +137,23 @@ def test_assumption_out_of_range():
     cnf.new_var()
     with pytest.raises(SolverError):
         InternalSolver(cnf).solve([5])
+
+
+def test_check_model_reads_negative_literals():
+    # a clause of negative literals only is read through the negated half
+    # of the literal-indexed table
+    cnf = CnfInstance()
+    a, b, c = cnf.new_vars(3)
+    cnf.add_clause([-a, -b])
+    cnf.add_clause([a, b])
+    _check_model(cnf, [False, True, False, False])
+    _check_model(cnf, [False, False, True, True])
+    with pytest.raises(SolverError, match=r"\[-1, -2\]"):
+        _check_model(cnf, [False, True, True, False])
+    with pytest.raises(SolverError, match=r"\[1, 2\]"):
+        _check_model(cnf, [False, False, False, True])
+    with pytest.raises(SolverError, match="2 values for 3 variables"):
+        _check_model(cnf, [False, True, False])
 
 
 def test_stats_populated():
