@@ -25,6 +25,9 @@ COMBOS = {
     "SBR": EncodeOptions(bridges=True, relaxed=True),
 }
 
+# what bad input raises: it ends a command, or fails one bench row
+ERRORS = (QasmError, CouplingError, EncodingError, SolverError, ValueError, OSError)
+
 
 def _default_solver() -> str:
     return os.environ.get("SWAPSAT_SOLVER", "internal")
@@ -145,12 +148,24 @@ def run_oracle(args) -> int:
     return 0
 
 
+def _loaded(load, arg):
+    """load(arg), or the error it raised: a bad input fails only its own rows."""
+    try:
+        return load(arg)
+    except ERRORS as exc:
+        return exc
+
+
 def run_bench(args) -> int:
     files = sorted(Path(args.circuits).glob("*.qasm"))
     combos = args.combos.split(",") if args.combos else list(COMBOS)
     for combo in combos:
         if combo not in COMBOS:
             raise ValueError(f"unknown combo {combo!r} (choose from {','.join(COMBOS)})")
+    # each circuit and platform is loaded once, so that every row on a device
+    # shares one device object and with it the device's shape catalogue
+    circuits = {path: _loaded(_load_circuit, path) for path in files}
+    couplings = {spec: _loaded(load_coupling, spec) for spec in args.platform}
     rows = []
     for path in files:
         for platform in args.platform:
@@ -159,8 +174,10 @@ def run_bench(args) -> int:
                        "platform": platform, "combo": combo, "swaps": "",
                        "bridges": "", "depth": "", "time": "", "status": ""}
                 try:
-                    circuit = parse_qasm(path.read_text(), name=path.stem)
-                    coupling = load_coupling(platform)
+                    circuit, coupling = circuits[path], couplings[platform]
+                    for loaded in (circuit, coupling):
+                        if isinstance(loaded, Exception):
+                            raise loaded.with_traceback(None)
                     row["qubits"] = circuit.num_qubits
                     row["cx"] = circuit.cx_count
                     options = COMBOS[combo]
@@ -180,8 +197,7 @@ def run_bench(args) -> int:
                                        bridges=result.metrics["bridges"],
                                        depth=result.metrics["depth_after"],
                                        status="optimal")
-                except (QasmError, CouplingError, EncodingError, SolverError,
-                        ValueError, OSError) as exc:
+                except ERRORS as exc:
                     row["status"] = f"error: {exc}"
                 rows.append(row)
     fields = ["circuit", "qubits", "cx", "platform", "combo", "swaps",
@@ -256,8 +272,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (QasmError, CouplingError, EncodingError, SolverError, ValueError,
-            OSError) as exc:
+    except ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

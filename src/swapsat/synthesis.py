@@ -8,11 +8,11 @@ subgraph shape, or on the whole device) as the optimality certificate.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 from .circuit import Circuit, CnotSlice, Gate, circuit_depth, extract_cnot_slice
-from .coupling import (CouplingGraph, connected_sets, induced_edges, induced_subgraph,
-                       shape_key)
+from .coupling import CouplingGraph, connected_sets, induced_edges, shape_key
 from .dag import DepDag, build_dependency_dag, build_relaxed_dag
 from .encoder import EncodeOptions, TwoWayEncoder
 from .solver import Status, make_solver
@@ -330,10 +330,36 @@ def _interaction_connected(slice_: CnotSlice) -> bool:
     return len(seen) == len(adj)
 
 
-def _level_shapes(coupling: CouplingGraph, adj: list[set[int]], size: int,
-                  deadline: float | None) -> list[tuple[int, ...]] | None:
+@dataclass
+class _DeviceEntry:
+    """What `synthesize` needs of one device, worked out once: its adjacency,
+    whether it is connected, and per size the shapes of a completed
+    enumeration as `_level_shapes` returns them."""
+
+    adj: list[set[int]]
+    connected: bool
+    levels: dict = field(default_factory=dict)  # size -> shapes, or None
+
+
+# The shape catalogue: device -> _DeviceEntry.  Entries are found by value
+# equality, so an equal device loaded again reads the same entry, and each is
+# dropped with the device object it was stored under.  An entry holds no
+# reference to its device.
+_catalogue: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _device_entry(coupling: CouplingGraph) -> _DeviceEntry:
+    entry = _catalogue.get(coupling)
+    if entry is None:
+        entry = _catalogue[coupling] = _DeviceEntry(coupling.adjacency(),
+                                                   coupling.is_connected())
+    return entry
+
+
+def _level_shapes(coupling: CouplingGraph, size: int, deadline: float | None
+                  ) -> list[tuple[tuple[int, ...], CouplingGraph]] | None:
     """One node set per isomorphism class of connected `size`-node subgraphs,
-    densest first.
+    densest first, each with its induced subgraph.
 
     None once the classes found total at least the device's node count:
     solving them would then cost more than solving the device.  Keys are
@@ -343,19 +369,28 @@ def _level_shapes(coupling: CouplingGraph, adj: list[set[int]], size: int,
     that is a spanning subgraph of another has fewer edges, so no shape
     comes before one that contains it; the containing one is SAT whenever
     the contained one is.
+
+    The result of a completed enumeration, None included, is kept in the
+    device's catalogue entry, and later calls on an equal device return it
+    without enumerating.  An enumeration stopped by the deadline keeps
+    nothing.
     """
+    entry = _device_entry(coupling)
+    if size in entry.levels:
+        return entry.levels[size]
     memo: dict[tuple, tuple] = {}
-    found: dict[tuple, tuple[int, ...]] = {}
+    found: dict[tuple, tuple] = {}  # key -> (node set, local edge list)
     for nodes in connected_sets(coupling, size):
         if deadline is not None and time.monotonic() > deadline:
             raise _Stopped
-        local = induced_edges(adj, nodes)
+        local = induced_edges(entry.adj, nodes)
         key = memo.get(local)
         if key is None:
             key = memo[local] = shape_key(size, local)
         if key not in found:
-            found[key] = nodes
+            found[key] = nodes, local
             if len(found) * size >= coupling.num_physical:
+                entry.levels[size] = None
                 return None
 
     def density(key: tuple) -> tuple:
@@ -366,7 +401,13 @@ def _level_shapes(coupling: CouplingGraph, adj: list[set[int]], size: int,
             degree[v] += 1
         return len(edges), sorted(degree, reverse=True)
 
-    return [found[key] for key in sorted(found, key=density, reverse=True)]
+    shapes = []
+    for key in sorted(found, key=density, reverse=True):
+        nodes, local = found[key]
+        shapes.append((nodes, CouplingGraph(size, frozenset(local),
+                                            f"{coupling.name}{list(nodes)}")))
+    entry.levels[size] = shapes
+    return shapes
 
 
 def _lift(plan: Plan, nodes: tuple[int, ...]) -> Plan:
@@ -402,17 +443,18 @@ def synthesize(
     nodes: UNSAT when every shape is, SAT with the first satisfiable
     shape's plan in device labels.  The device is the single shape when n+k reaches its
     size, when either graph is disconnected, or when the shapes total at
-    least its node count; its encoder and solver grow from level to level.
+    least its node count; its encoder is built at the first such level, and
+    it and its solver grow from level to level.  A level's shapes come from
+    the device's catalogue (`_level_shapes`), so they are enumerated once
+    per device and size in a process.
     """
     start = time.monotonic()
     deadline = None if limits.time_limit is None else start + limits.time_limit
     slice_ = extract_cnot_slice(circuit)
     dag = build_dag(slice_, circuit, options.relaxed)
     n, n_p = circuit.num_qubits, coupling.num_physical
-    device = TwoWayEncoder(n, slice_, dag, coupling, options)
-    device_solver = None
-    splittable = coupling.is_connected() and _interaction_connected(slice_)
-    adj = coupling.adjacency() if splittable else []
+    device = device_solver = None
+    splittable = _device_entry(coupling).connected and _interaction_connected(slice_)
 
     step_times: list[float] = []
     shapes: list[int] = []
@@ -424,9 +466,11 @@ def synthesize(
                 raise _Stopped
             level = None
             if splittable and n + k < n_p:
-                level = _level_shapes(coupling, adj, n + k, deadline)
-            for nodes in level or [None]:
+                level = _level_shapes(coupling, n + k, deadline)
+            for nodes, graph in level or [(None, coupling)]:
                 if nodes is None:
+                    if device is None:
+                        device = TwoWayEncoder(n, slice_, dag, coupling, options)
                     encoder = device
                     while encoder.built_steps <= k:
                         encoder.build_step(encoder.built_steps)
@@ -434,8 +478,7 @@ def synthesize(
                         device_solver = make_solver(encoder.cnf, solver_spec)
                     solver = device_solver
                 else:
-                    encoder = TwoWayEncoder(n, slice_, dag, induced_subgraph(coupling, nodes),
-                                            options)
+                    encoder = TwoWayEncoder(n, slice_, dag, graph, options)
                     for t in range(k + 1):
                         encoder.build_step(t)
                     solver = make_solver(encoder.cnf, solver_spec)

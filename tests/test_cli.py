@@ -6,6 +6,7 @@ import pytest
 from conftest import DIMACS_COMMAND
 from swapsat.cli import main
 from swapsat.cnf import CnfInstance
+from swapsat.coupling import load_coupling
 from swapsat.dimacs_cli import main as dimacs_main
 
 
@@ -128,6 +129,25 @@ def test_bench_bad_file_does_not_abort(tmp_path, circuits_dir):
     rows = {r["circuit"]: r for r in csv.DictReader(out.open())}
     assert rows["ok"]["status"] == "optimal"
     assert rows["broken"]["status"].startswith("error")
+
+
+def test_bench_loads_each_platform_once(circuits_dir, tmp_path, monkeypatch):
+    loads = []
+    monkeypatch.setattr("swapsat.cli.load_coupling",
+                        lambda spec: loads.append(spec) or load_coupling(spec))
+    out = tmp_path / "bench.csv"
+    code = main(["bench", "--circuits", str(circuits_dir), "--platform", "linear-5",
+                 "--platform", "nope", "--combos", "S,SR", "--output", str(out)])
+    assert code == 0
+    rows = list(csv.DictReader(out.open()))
+    circuits = len(list(circuits_dir.glob("*.qasm")))
+    assert len(rows) == circuits * 2 * 2
+    for row in rows:
+        if row["platform"] == "nope":
+            assert row["status"].startswith("error: unknown platform spec")
+        else:
+            assert row["status"] == "optimal"
+    assert loads == ["linear-5", "nope"]
 
 
 def test_bench_empty_dir(tmp_path):

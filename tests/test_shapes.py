@@ -1,18 +1,20 @@
 """The ladder decided on subgraph shapes: cross-checks on the whole device,
-the cases that must fall back to the device, and time limits."""
+the cases that must fall back to the device, time limits, and the per-device
+shape catalogue."""
 import json
 from itertools import combinations
 
 import pytest
 
 from conftest import CIRCUITS_DIR
+from swapsat import synthesis
 from swapsat.circuit import Circuit, Gate, extract_cnot_slice
 from swapsat.coupling import (CouplingGraph, grid_graph, induced_edges, linear_graph,
                               load_coupling)
 from swapsat.encoder import EncodeOptions, TwoWayEncoder
 from swapsat.qasm import parse_qasm
 from swapsat.solver import Status, make_solver
-from swapsat.synthesis import Limits, _level_shapes, build_dag, synthesize
+from swapsat.synthesis import Limits, _level_shapes, build_dag, plan_to_dict, synthesize
 from swapsat.verify import check_structural, check_unitary_equivalence, oracle_min_swaps
 
 
@@ -83,10 +85,10 @@ def test_eagle127_paper_regime_optimum(circuit, swaps, encoder_sizes):
     assert result.metrics["status"] == "optimal"
     assert (result.metrics["swaps"], result.metrics["bridges"]) == (swaps, 0)
     assert verified(circuit, coupling, options, result)
-    # every level was decided on shapes, never on the 127-qubit device
+    # every level was decided on shapes: no encoder of the 127-qubit device is built
     levels = swaps + 1
-    assert sorted(set(encoder_sizes)) == [circuit.num_qubits + k for k in range(levels)] + [127]
-    assert encoder_sizes.count(127) == 1
+    assert sorted(set(encoder_sizes)) == [circuit.num_qubits + k for k in range(levels)]
+    assert 127 not in encoder_sizes
     assert len(result.metrics["shapes"]) == len(result.metrics["step_times"]) == levels
     assert result.metrics["device_levels"] == []
 
@@ -100,10 +102,10 @@ def test_eagle127_paper_regime_optimum(circuit, swaps, encoder_sizes):
 def test_level_shapes_densest_first(platform, size):
     coupling = load_coupling(platform)
     adj = coupling.adjacency()
-    level = _level_shapes(coupling, adj, size, None)
+    level = _level_shapes(coupling, size, None)
     assert level is not None and len(level) > 1
     density = []
-    for nodes in level:
+    for nodes, _graph in level:
         edges = induced_edges(adj, nodes)
         degree = [sum(v in e for e in edges) for v in range(size)]
         density.append((len(edges), sorted(degree, reverse=True)))
@@ -135,8 +137,11 @@ def test_disconnected_interaction_solves_on_device(encoder_sizes):
     circuit = cx_circuit(5, [(0, 1), (3, 4), (1, 2), (0, 2), (4, 3)])
     oracle_agrees(circuit, linear_graph(6))
     assert set(encoder_sizes) == {6}
+    encoder_sizes.clear()
     metrics = synthesize(circuit, linear_graph(6)).metrics
     assert metrics["device_levels"] == list(range(len(metrics["shapes"])))
+    # one device encoder, kept across the levels
+    assert len(metrics["shapes"]) > 1 and encoder_sizes.count(6) == 1
     # a timeout keeps the device levels solved before it
     metrics = synthesize(circuit, linear_graph(6), limits=Limits(max_steps=0)).metrics
     assert metrics["status"] == "timeout" and metrics["device_levels"] == [0]
@@ -208,3 +213,46 @@ def test_time_limit_checked_during_enumeration():
     assert result.metrics["lower_bound"] == 0
     assert result.metrics["step_times"] == [] and result.metrics["shapes"] == []
     assert result.metrics["total_time"] < 0.3
+
+
+def test_catalogue_serves_an_equal_device(monkeypatch):
+    circuit, first = bundled("ring5"), load_coupling("rigetti80")
+    sycamore = load_coupling("sycamore54")
+    before = synthesize(circuit, first)
+    assert _level_shapes(sycamore, 6, None) is None  # the stop rule's answer is kept too
+    sets = []
+    enumerate_sets = synthesis.connected_sets
+    monkeypatch.setattr(synthesis, "connected_sets",
+                        lambda graph, size: sets.append(size) or enumerate_sets(graph, size))
+    again = synthesize(circuit, load_coupling("rigetti80"))
+    assert _level_shapes(load_coupling("sycamore54"), 6, None) is None
+    assert sets == []
+    assert plan_to_dict(again.plan) == plan_to_dict(before.plan)
+    for key in ("shapes", "device_levels"):
+        assert again.metrics[key] == before.metrics[key]
+
+
+def test_stopped_enumeration_stores_nothing():
+    # renamed copies of eagle127 are devices of their own in the catalogue
+    eagle = load_coupling("eagle127")
+    stopped, fresh = (CouplingGraph(eagle.num_physical, eagle.edges, name)
+                      for name in ("eagle-stopped", "eagle-fresh"))
+    circuit = bundled("or")
+    result = synthesize(circuit, stopped, limits=Limits(time_limit=1e-9))
+    assert result.metrics["status"] == "timeout" and result.metrics["shapes"] == []
+    assert circuit.num_qubits not in synthesis._catalogue[stopped].levels
+    later, first = synthesize(circuit, stopped), synthesize(circuit, fresh)
+    assert plan_to_dict(later.plan) == plan_to_dict(first.plan)
+    for key in ("shapes", "device_levels"):
+        assert later.metrics[key] == first.metrics[key]
+    for size in range(circuit.num_qubits, circuit.num_qubits + len(first.metrics["shapes"])):
+        assert ([(nodes, graph.edges) for nodes, graph in _level_shapes(stopped, size, None)]
+                == [(nodes, graph.edges) for nodes, graph in _level_shapes(fresh, size, None)])
+
+
+def test_catalogue_entries_do_not_outlive_their_device():
+    triangle = cx_circuit(3, [(0, 1), (1, 2), (0, 2)])
+    before = len(synthesis._catalogue)
+    for n in range(4, 54):
+        assert synthesize(triangle, linear_graph(n)).metrics["swaps"] == 1
+    assert len(synthesis._catalogue) <= before
