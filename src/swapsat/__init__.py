@@ -4,7 +4,6 @@ from .circuit import Circuit, CircuitError, CnotSlice, Gate, circuit_depth, extr
 from .cnf import CnfError, CnfInstance
 from .coupling import (
     BUILTIN_PLATFORMS,
-    BridgePaths,
     CouplingError,
     CouplingGraph,
     distance2_pairs,
@@ -36,7 +35,7 @@ from .verify import VerifyReport, check_structural, check_unitary_equivalence, o
 __version__ = "0.1.0"
 
 __all__ = [
-    "BUILTIN_PLATFORMS", "Bridge", "BridgePaths", "Circuit", "CircuitError",
+    "BUILTIN_PLATFORMS", "Bridge", "Circuit", "CircuitError",
     "CnfError", "CnfInstance", "CnotSlice", "CouplingError", "CouplingGraph",
     "DepDag", "EncodeOptions", "EncodingError", "ExternalSolver", "Gate",
     "InternalSolver", "Limits", "MappedResult", "Plan", "PlanStep", "QasmError",

@@ -4,7 +4,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -27,10 +26,6 @@ COMBOS = {
 
 # what bad input raises: it ends a command, or fails one bench row
 ERRORS = (QasmError, CouplingError, EncodingError, SolverError, ValueError, OSError)
-
-
-def _default_solver() -> str:
-    return os.environ.get("SWAPSAT_SOLVER", "internal")
 
 
 def _add_option_flags(parser: argparse.ArgumentParser) -> None:
@@ -109,6 +104,8 @@ def run_verify(args) -> int:
     original = _load_circuit(args.original)
     mapped = _load_circuit(args.mapped)
     data = json.loads(Path(args.plan).read_text())
+    if not isinstance(data, dict):
+        raise ValueError("plan file must hold a JSON object")
     plan_data = data.get("plan", data)
     plan = plan_from_dict(plan_data)
     platform = args.platform or data.get("platform")
@@ -228,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--platform", required=True,
                    help="builtin name, linear-N, grid-RxC, or file:PATH")
     _add_option_flags(p)
-    p.add_argument("--solver", default=_default_solver(),
+    p.add_argument("--solver", default="internal",
                    help="internal or external:<command>")
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--max-steps", type=int, default=None)
@@ -259,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--platform", action="append", required=True,
                    help="repeatable platform spec")
     p.add_argument("--combos", default=None, help="comma list from S,SB,SR,SBR")
-    p.add_argument("--solver", default=_default_solver())
+    p.add_argument("--solver", default="internal")
     p.add_argument("--time-limit", type=float, default=600.0)
     p.add_argument("--output", help="CSV output path (default stdout)")
     p.add_argument("--json", help="JSON output path")

@@ -19,65 +19,61 @@ class CouplingError(ValueError):
     """Malformed coupling specification or invariant violation."""
 
 
+def reachable(adj, start: int) -> set[int]:
+    """The nodes reachable from `start`, where adj[u] holds u's neighbours."""
+    seen, todo = {start}, [start]
+    while todo:
+        for v in adj[todo.pop()]:
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
+
+
 @dataclass(frozen=True)
 class CouplingGraph:
     num_physical: int
     edges: frozenset[tuple[int, int]]
     name: str = "coupling"
+    # derived from the edges when the graph is built; not part of its value
+    _adj: tuple[frozenset[int], ...] = field(init=False, compare=False, repr=False)
+    _connected: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        adj: list[set[int]] = [set() for _ in range(self.num_physical)]
         for u, v in self.edges:
             if u == v:
                 raise CouplingError(f"self-loop on qubit {u}")
             if not (0 <= u < v < self.num_physical):
                 raise CouplingError(f"edge ({u},{v}) out of range or unnormalized")
-        if self.num_physical > 0 and not self.is_connected():
+            adj[u].add(v)
+            adj[v].add(u)
+        connected = self.num_physical <= 1 or len(reachable(adj, 0)) == self.num_physical
+        object.__setattr__(self, "_adj", tuple(frozenset(a) for a in adj))
+        object.__setattr__(self, "_connected", connected)
+        if self.num_physical > 0 and not connected:
             warnings.warn(f"coupling graph '{self.name}' is disconnected", stacklevel=3)
 
     def is_connected(self) -> bool:
-        if self.num_physical <= 1:
-            return True
-        adj = self.adjacency()
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.num_physical
+        return self._connected
 
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.num_physical)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        return self._adj
 
     def connected(self, p: int, q: int) -> bool:
         return (min(p, q), max(p, q)) in self.edges
 
 
-@dataclass(frozen=True)
-class BridgePaths:
-    """Distance-2 physical pairs and their common-neighbor middle qubits."""
-
-    middles: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
-
-    def __bool__(self) -> bool:
-        return bool(self.middles)
-
-
-def distance2_pairs(graph: CouplingGraph) -> BridgePaths:
-    """Non-adjacent pairs with a common neighbour, found from each middle qubit."""
+def distance2_pairs(graph: CouplingGraph) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Non-adjacent pairs with a common neighbour, in sorted order, each with
+    its middle qubits in ascending order; found from each middle qubit."""
     middles: dict[tuple[int, int], list[int]] = {}
     for m, nbrs in enumerate(graph.adjacency()):
         for p in nbrs:
             for q in nbrs:
                 if p < q and (p, q) not in graph.edges:
                     middles.setdefault((p, q), []).append(m)
-    return BridgePaths({key: tuple(middles[key]) for key in sorted(middles)})
+    return {key: tuple(middles[key]) for key in sorted(middles)}
 
 
 def connected_sets(graph: CouplingGraph, size: int) -> Iterator[tuple[int, ...]]:
@@ -114,7 +110,8 @@ def connected_sets(graph: CouplingGraph, size: int) -> Iterator[tuple[int, ...]]
             yield tuple(nodes)
 
 
-def induced_edges(adj: list[set[int]], nodes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+def induced_edges(adj: tuple[frozenset[int], ...], nodes: tuple[int, ...]
+                  ) -> tuple[tuple[int, int], ...]:
     """Sorted edges among `nodes` (a sorted tuple), relabelled 0..s-1 in order."""
     local = {v: i for i, v in enumerate(nodes)}
     return tuple(sorted((local[u], local[v]) for u in nodes for v in adj[u]
@@ -210,8 +207,6 @@ def _from_json_dict(data: dict, default_name: str) -> CouplingGraph:
         if len(e) != 2:
             raise CouplingError(f"bad edge entry {e!r}")
         u, v = int(e[0]), int(e[1])
-        if u == v:
-            raise CouplingError(f"self-loop on qubit {u}")
         edges.add((min(u, v), max(u, v)))
     return CouplingGraph(int(n), frozenset(edges), name)
 

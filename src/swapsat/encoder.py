@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .circuit import CnotSlice
 from .cnf import CnfInstance
-from .coupling import BridgePaths, CouplingGraph, distance2_pairs
+from .coupling import CouplingGraph, distance2_pairs
 from .dag import DepDag
 
 
@@ -63,7 +63,6 @@ class TwoWayEncoder:
         dag: DepDag,
         coupling: CouplingGraph,
         options: EncodeOptions = EncodeOptions(),
-        cnf: CnfInstance | None = None,
     ):
         if num_logical > coupling.num_physical:
             raise EncodingError(
@@ -76,18 +75,19 @@ class TwoWayEncoder:
         self.dag = dag
         self.coupling = coupling
         self.options = options
-        self.cnf = cnf if cnf is not None else CnfInstance()
+        self.cnf = CnfInstance()
         self.reg = VarRegistry()
         self.edges = sorted(coupling.edges)
         self.nbrs = [sorted(a) for a in coupling.adjacency()]
         self.logical_pairs = slice_.logical_pairs()
         self.m = len(slice_)
         self.built_steps = 0
-        self.bridge_paths = distance2_pairs(coupling) if options.bridges else BridgePaths()
+        self.bridge_paths = distance2_pairs(coupling) if options.bridges else {}
         self.bridgeable = [
             i for i in range(self.m) if slice_.is_cx(i) and self.bridge_paths
         ]
-        self.dist2 = sorted(self.bridge_paths.middles)
+        self.pairs2 = sorted({self._pair_key(i) for i in self.bridgeable})
+        self.dist2 = sorted(self.bridge_paths)
         self.nbrs2: list[list[int]] = [[] for _ in range(self.n_p)]
         for (p, q) in self.dist2:
             self.nbrs2[p].append(q)
@@ -116,8 +116,7 @@ class TwoWayEncoder:
             if self.bridgeable:
                 for i in self.bridgeable:
                     reg.bridge[(i, t)] = cnf.new_var()
-                pairs2 = sorted({tuple(sorted(self.slice.pair(i))) for i in self.bridgeable})
-                for pair in pairs2:
+                for pair in self.pairs2:
                     reg.pair2[(pair, t)] = cnf.new_var()
         reg.assum[t] = cnf.new_var()
 
@@ -214,8 +213,7 @@ class TwoWayEncoder:
 
     def bridge_constraints(self, t: int) -> None:
         cnf, reg = self.cnf, self.reg
-        pairs2 = sorted({key for (key, tt) in reg.pair2 if tt == t})
-        for (l, lp) in pairs2:
+        for (l, lp) in self.pairs2:
             self._near_constraints(reg.pair2[((l, lp), t)], l, lp, t, self.dist2, self.nbrs2)
         for i in self.bridgeable:
             b = reg.bridge[(i, t)]

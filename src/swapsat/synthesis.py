@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuit import Circuit, CnotSlice, Gate, circuit_depth, extract_cnot_slice
-from .coupling import CouplingGraph, connected_sets, induced_edges, shape_key
+from .coupling import (CouplingGraph, connected_sets, induced_edges, induced_subgraph,
+                       reachable, shape_key)
 from .dag import DepDag, build_dependency_dag, build_relaxed_dag
 from .encoder import EncodeOptions, TwoWayEncoder
 from .solver import Status, make_solver
@@ -86,20 +87,33 @@ def plan_to_dict(plan: Plan) -> dict:
             "final_map": list(plan.final_map)}
 
 
+def _ints(values) -> tuple[int, ...]:
+    values = tuple(values)
+    if not all(type(v) is int for v in values):
+        raise TypeError(f"expected integers, got {list(values)!r}")
+    return values
+
+
 def plan_from_dict(data: dict) -> Plan:
-    steps = []
-    for s in data["steps"]:
-        a = s["action"]
-        if a is None:
-            action = None
-        elif a["type"] == "swap":
-            action = Swap(a["p"], a["q"])
-        elif a["type"] == "bridge":
-            action = Bridge(a["cnot"], a["control"], a["middle"], a["data"])
-        else:
-            raise ValueError(f"unknown plan action {a!r}")
-        steps.append(PlanStep(action, tuple(s["cnots"])))
-    return Plan(tuple(data["initial_map"]), tuple(steps), tuple(data["final_map"]))
+    """The plan `plan_to_dict` wrote; ValueError on a missing or ill-typed field."""
+    try:
+        steps = []
+        for s in data["steps"]:
+            a = s["action"]
+            if a is None:
+                action = None
+            elif a["type"] == "swap":
+                action = Swap(*_ints((a["p"], a["q"])))
+            elif a["type"] == "bridge":
+                action = Bridge(*_ints((a["cnot"], a["control"], a["middle"], a["data"])))
+            else:
+                raise ValueError(f"unknown plan action {a!r}")
+            steps.append(PlanStep(action, _ints(s["cnots"])))
+        return Plan(_ints(data["initial_map"]), tuple(steps), _ints(data["final_map"]))
+    except KeyError as exc:
+        raise ValueError(f"malformed plan: missing field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed plan: {exc}") from None
 
 
 def _apply_swap(mapping: list[int], p: int, q: int) -> None:
@@ -175,7 +189,7 @@ def decode_model(model: list[bool], encoder: TwoWayEncoder, t_final: int) -> Pla
                 c, d = slice_.pair(i)
                 pc, pd = mapping[c], mapping[d]
                 key = (min(pc, pd), max(pc, pd))
-                middles = encoder.bridge_paths.middles.get(key)
+                middles = encoder.bridge_paths.get(key)
                 if not middles:
                     raise SynthesisError(f"bridge at step {t} on non-distance-2 pair {key}")
                 action = Bridge(i, pc, middles[0], pd)
@@ -319,41 +333,14 @@ def _interaction_connected(slice_: CnotSlice) -> bool:
     for a, b in slice_.logical_pairs():
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
-    if not adj:
-        return True
-    start = next(iter(adj))
-    seen, todo = {start}, [start]
-    while todo:
-        for u in adj[todo.pop()] - seen:
-            seen.add(u)
-            todo.append(u)
-    return len(seen) == len(adj)
+    return not adj or len(reachable(adj, next(iter(adj)))) == len(adj)
 
 
-@dataclass
-class _DeviceEntry:
-    """What `synthesize` needs of one device, worked out once: its adjacency,
-    whether it is connected, and per size the shapes of a completed
-    enumeration as `_level_shapes` returns them."""
-
-    adj: list[set[int]]
-    connected: bool
-    levels: dict = field(default_factory=dict)  # size -> shapes, or None
-
-
-# The shape catalogue: device -> _DeviceEntry.  Entries are found by value
-# equality, so an equal device loaded again reads the same entry, and each is
-# dropped with the device object it was stored under.  An entry holds no
-# reference to its device.
+# The shape catalogue: device -> {size: shapes of a completed enumeration, or
+# None}.  Entries are found by value equality, so an equal device loaded again
+# reads the same entry, and each is dropped with the device object it was
+# stored under.  An entry holds no reference to its device.
 _catalogue: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _device_entry(coupling: CouplingGraph) -> _DeviceEntry:
-    entry = _catalogue.get(coupling)
-    if entry is None:
-        entry = _catalogue[coupling] = _DeviceEntry(coupling.adjacency(),
-                                                   coupling.is_connected())
-    return entry
 
 
 def _level_shapes(coupling: CouplingGraph, size: int, deadline: float | None
@@ -375,22 +362,23 @@ def _level_shapes(coupling: CouplingGraph, size: int, deadline: float | None
     without enumerating.  An enumeration stopped by the deadline keeps
     nothing.
     """
-    entry = _device_entry(coupling)
-    if size in entry.levels:
-        return entry.levels[size]
+    levels = _catalogue.setdefault(coupling, {})
+    if size in levels:
+        return levels[size]
+    adj = coupling.adjacency()
     memo: dict[tuple, tuple] = {}
-    found: dict[tuple, tuple] = {}  # key -> (node set, local edge list)
+    found: dict[tuple, tuple[int, ...]] = {}  # key -> node set
     for nodes in connected_sets(coupling, size):
         if deadline is not None and time.monotonic() > deadline:
             raise _Stopped
-        local = induced_edges(entry.adj, nodes)
+        local = induced_edges(adj, nodes)
         key = memo.get(local)
         if key is None:
             key = memo[local] = shape_key(size, local)
         if key not in found:
-            found[key] = nodes, local
+            found[key] = nodes
             if len(found) * size >= coupling.num_physical:
-                entry.levels[size] = None
+                levels[size] = None
                 return None
 
     def density(key: tuple) -> tuple:
@@ -401,12 +389,9 @@ def _level_shapes(coupling: CouplingGraph, size: int, deadline: float | None
             degree[v] += 1
         return len(edges), sorted(degree, reverse=True)
 
-    shapes = []
-    for key in sorted(found, key=density, reverse=True):
-        nodes, local = found[key]
-        shapes.append((nodes, CouplingGraph(size, frozenset(local),
-                                            f"{coupling.name}{list(nodes)}")))
-    entry.levels[size] = shapes
+    shapes = [(found[key], induced_subgraph(coupling, found[key]))
+              for key in sorted(found, key=density, reverse=True)]
+    levels[size] = shapes
     return shapes
 
 
@@ -453,8 +438,8 @@ def synthesize(
     slice_ = extract_cnot_slice(circuit)
     dag = build_dag(slice_, circuit, options.relaxed)
     n, n_p = circuit.num_qubits, coupling.num_physical
-    device = device_solver = None
-    splittable = _device_entry(coupling).connected and _interaction_connected(slice_)
+    device = None  # the whole device's (encoder, solver), grown from level to level
+    splittable = coupling.is_connected() and _interaction_connected(slice_)
 
     step_times: list[float] = []
     shapes: list[int] = []
@@ -468,20 +453,15 @@ def synthesize(
             if splittable and n + k < n_p:
                 level = _level_shapes(coupling, n + k, deadline)
             for nodes, graph in level or [(None, coupling)]:
-                if nodes is None:
-                    if device is None:
-                        device = TwoWayEncoder(n, slice_, dag, coupling, options)
-                    encoder = device
-                    while encoder.built_steps <= k:
-                        encoder.build_step(encoder.built_steps)
-                    if device_solver is None:
-                        device_solver = make_solver(encoder.cnf, solver_spec)
-                    solver = device_solver
+                if nodes is None and device is not None:
+                    encoder, solver = device
                 else:
                     encoder = TwoWayEncoder(n, slice_, dag, graph, options)
-                    for t in range(k + 1):
-                        encoder.build_step(t)
                     solver = make_solver(encoder.cnf, solver_spec)
+                    if nodes is None:
+                        device = encoder, solver
+                while encoder.built_steps <= k:
+                    encoder.build_step(encoder.built_steps)
                 budget = None
                 if deadline is not None:
                     # the budget covers enumeration and encoding as well as solving

@@ -62,7 +62,16 @@ def check_structural(original: Circuit, mapped: Circuit, coupling: CouplingGraph
                 if pos[j] > pos[i]:
                     fail("dependency", f"cnot {i} emitted before its predecessor {j}")
 
-    # (b) replay the plan against the mapped gate stream
+    # (b) replay the plan against the mapped gate stream, when every CNOT id
+    # and place it would read is one of the circuit's and the device's
+    n_l, n_p = original.num_qubits, coupling.num_physical
+    if any(not 0 <= cid < len(slice_) for cid in emission):
+        fail("mapping", "plan schedules a cnot id the circuit does not have")
+    for which, places in (("initial", plan.initial_map), ("final", plan.final_map)):
+        distinct = len(places) == len(set(places)) == n_l
+        if not distinct or not all(0 <= p < n_p for p in places):
+            fail("mapping", f"{which} map {list(places)} does not place the "
+                 f"{n_l} qubits on distinct device qubits")
     mapping = list(plan.initial_map)
     stream = [g for g in mapped.gates if g.is_binary()]
     k = 0
@@ -75,7 +84,7 @@ def check_structural(original: Circuit, mapped: Circuit, coupling: CouplingGraph
         k += 1
         return g
 
-    for t, step in enumerate(plan.steps):
+    for t, step in enumerate(plan.steps if "mapping" not in violations else ()):
         if isinstance(step.action, Swap):
             g = take()
             if g is None or g.name != "swap" or set(g.qubits) != {step.action.p, step.action.q}:
@@ -220,7 +229,7 @@ def oracle_min_swaps(circuit: Circuit, coupling: CouplingGraph,
     if n_l > n_p:
         raise ValueError("more logical than physical qubits")
     edges = sorted(coupling.edges)
-    dist2 = distance2_pairs(coupling).middles if options.bridges else {}
+    dist2 = distance2_pairs(coupling) if options.bridges else {}
     all_done = (1 << m) - 1
 
     def closure(mapping: tuple[int, ...], done: int) -> int:

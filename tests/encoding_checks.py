@@ -71,7 +71,7 @@ def check_model_properties(encoder: TwoWayEncoder, bits: tuple[bool, ...],
         # pair2 variable = images at distance two (bridge steps only)
         for ((l, lp), tt), v in reg.pair2.items():
             images = tuple(sorted((mapping[l], mapping[lp])))
-            if tt == t and val(v) != (images in encoder.bridge_paths.middles):
+            if tt == t and val(v) != (images in encoder.bridge_paths):
                 errors.append(f"t={t}: pair2({l},{lp}) != distance two")
         # two-way status: exactly one of current/advanced/delayed
         for i in range(m):
@@ -115,6 +115,6 @@ def check_model_properties(encoder: TwoWayEncoder, bits: tuple[bool, ...],
                 errors.append(f"t={t}: bridge on non-current cnot {i}")
             c, d = encoder.slice.pair(i)
             key = tuple(sorted((maps[t][c], maps[t][d])))
-            if key not in encoder.bridge_paths.middles:
+            if key not in encoder.bridge_paths:
                 errors.append(f"t={t}: bridge images {key} not at distance 2")
     return errors

@@ -89,6 +89,28 @@ def test_verify_subcommand(circuits_dir, tmp_path, capsys):
                  "--mapped", str(tampered), "--plan", str(metrics)]) == 1
 
 
+def first_swap(plan):
+    return next(s["action"] for s in plan["steps"]
+                if s["action"] and s["action"]["type"] == "swap")
+
+
+@pytest.mark.parametrize("damage", [
+    lambda plan: plan.pop("initial_map"),
+    lambda plan: first_swap(plan).pop("q"),
+    lambda plan: plan["steps"][-1]["cnots"].append(99),
+    lambda plan: plan.update(initial_map=[0]),
+], ids=["no-initial-map", "swap-without-q", "unknown-cnot", "short-initial-map"])
+def test_verify_rejects_a_malformed_plan(circuits_dir, tmp_path, damage):
+    out, metrics = tmp_path / "mapped.qasm", tmp_path / "metrics.json"
+    assert main(["map", "--circuit", or_path(circuits_dir), "--platform", "linear-3",
+                 "--output", str(out), "--metrics", str(metrics)]) == 0
+    data = json.loads(metrics.read_text())
+    damage(data["plan"])
+    metrics.write_text(json.dumps(data))
+    assert main(["verify", "--original", or_path(circuits_dir),
+                 "--mapped", str(out), "--plan", str(metrics)]) == 1
+
+
 def test_oracle_subcommand(circuits_dir, capsys):
     assert main(["oracle", "--circuit", or_path(circuits_dir),
                  "--platform", "linear-3"]) == 0
@@ -157,13 +179,6 @@ def test_bench_empty_dir(tmp_path):
     assert main(["bench", "--circuits", str(empty), "--platform", "linear-2",
                  "--output", str(out)]) == 0
     assert list(csv.DictReader(out.open())) == []
-
-
-def test_solver_env_default(circuits_dir, monkeypatch):
-    monkeypatch.setenv("SWAPSAT_SOLVER", "external:definitely-not-a-solver")
-    from swapsat.cli import build_parser
-    args = build_parser().parse_args(["map", "--circuit", "x", "--platform", "y"])
-    assert args.solver == "external:definitely-not-a-solver"
 
 
 def test_external_solver_cli(circuits_dir, tmp_path):

@@ -47,6 +47,16 @@ def test_edge_normalization_and_validation():
         CouplingGraph(2, frozenset({(0, 5)}))
 
 
+def test_adjacency_is_kept_immutable_and_outside_the_value():
+    g = grid_graph(2, 3)
+    adj = g.adjacency()
+    assert g.adjacency() is adj
+    assert isinstance(adj, tuple) and all(type(nbrs) is frozenset for nbrs in adj)
+    assert adj[0] == {1, 3} and adj[4] == {1, 3, 5}
+    again = CouplingGraph(6, g.edges, g.name)
+    assert again == g and hash(again) == hash(g) and repr(again) == repr(g)
+
+
 def test_disconnected_warns():
     with pytest.warns(UserWarning, match="disconnected"):
         CouplingGraph(4, frozenset({(0, 1)}), "frag")
@@ -93,10 +103,10 @@ def test_load_generators_and_errors(tmp_path):
 def test_distance2_pairs():
     g = linear_graph(4)
     paths = distance2_pairs(g)
-    assert paths.middles == {(0, 2): (1,), (1, 3): (2,)}
+    assert paths == {(0, 2): (1,), (1, 3): (2,)}
     grid = grid_graph(2, 2)
     # opposite corners have two middle choices
-    assert distance2_pairs(grid).middles[(0, 3)] == (1, 2)
+    assert distance2_pairs(grid)[(0, 3)] == (1, 2)
     assert not distance2_pairs(CouplingGraph(2, frozenset({(0, 1)})))
 
 
@@ -110,7 +120,7 @@ def test_distance2_pairs_matches_all_pairs_scan(spec):
             common = sorted(adj[p] & adj[q])
             if common and not g.connected(p, q):
                 expected[(p, q)] = tuple(common)
-    assert distance2_pairs(g).middles == expected
+    assert distance2_pairs(g) == expected
 
 
 def heavy_hex_patch(size=12):

@@ -240,7 +240,7 @@ def test_stopped_enumeration_stores_nothing():
     circuit = bundled("or")
     result = synthesize(circuit, stopped, limits=Limits(time_limit=1e-9))
     assert result.metrics["status"] == "timeout" and result.metrics["shapes"] == []
-    assert circuit.num_qubits not in synthesis._catalogue[stopped].levels
+    assert circuit.num_qubits not in synthesis._catalogue[stopped]
     later, first = synthesize(circuit, stopped), synthesize(circuit, fresh)
     assert plan_to_dict(later.plan) == plan_to_dict(first.plan)
     for key in ("shapes", "device_levels"):

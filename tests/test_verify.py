@@ -157,6 +157,16 @@ def test_structural_flipped_cnot_detected(or_circuit):
     assert not report.mapping_consistent
 
 
+@pytest.mark.parametrize("initial_map", [(0, 1), (0, 1, 2, 0), (0, 0, 1), (0, 1, 3)],
+                         ids=["short", "long", "repeated", "off-device"])
+def test_structural_reports_a_bad_initial_map(or_circuit, initial_map):
+    coupling, result = fixture_result(or_circuit)
+    plan = replace(result.plan, initial_map=initial_map)
+    report = check_structural(or_circuit, result.mapped_circuit, coupling, plan)
+    assert not report.mapping_consistent
+    assert report.first_violation.startswith("initial map")
+
+
 def test_unitary_pass_and_flip_detected(or_circuit):
     coupling, result = fixture_result(or_circuit)
     plan = result.plan
