@@ -18,7 +18,11 @@ GATE_PARAM_COUNTS = {"rx": 1, "ry": 1, "rz": 1, "u1": 1, "u2": 2, "u3": 3}
 
 
 class CircuitError(ValueError):
-    """Invalid circuit construction or gate usage."""
+    """Invalid gate usage; `gate` is the failing gate's index."""
+
+    def __init__(self, message: str, gate: int):
+        super().__init__(message)
+        self.gate = gate
 
 
 @dataclass(frozen=True)
@@ -53,26 +57,29 @@ class Circuit:
     def __post_init__(self):
         measured: set[int] = set()
         for i, g in enumerate(self.gates):
+            def fail(problem: str):
+                raise CircuitError(f"gate {i} ({g.name}) {problem}", i)
+
             if g.index != i:
-                raise CircuitError(f"gate {i} has index {g.index}")
+                fail(f"has index {g.index}")
             if g.name not in SUPPORTED_GATES:
-                raise CircuitError(f"unsupported gate '{g.name}'")
+                fail("is not supported")
             if len(set(g.qubits)) != len(g.qubits):
-                raise CircuitError(f"gate {i} ({g.name}) repeats a qubit")
+                fail("has a repeated qubit")
             if any(q < 0 or q >= self.num_qubits for q in g.qubits):
-                raise CircuitError(f"gate {i} ({g.name}) addresses qubit out of range")
+                fail("addresses qubit out of range")
             if g.name in UNARY_GATES and len(g.qubits) != 1:
-                raise CircuitError(f"gate {i} ({g.name}) must act on 1 qubit")
+                fail("must act on 1 qubit")
             if g.name in BINARY_GATES and len(g.qubits) != 2:
-                raise CircuitError(f"gate {i} ({g.name}) must act on 2 qubits")
+                fail("must act on 2 qubits")
             expected = GATE_PARAM_COUNTS.get(g.name, 0)
             if len(g.params) != expected:
-                raise CircuitError(f"gate {i} ({g.name}) takes {expected} parameter(s)")
+                fail(f"takes {expected} parameter(s), got {len(g.params)}")
             if g.name == "measure":
                 measured.update(g.qubits)
             elif g.name != "barrier" and measured.intersection(g.qubits):
                 # Final-mapping relabeling assumes end-of-circuit readout.
-                raise CircuitError(f"gate {i} ({g.name}) follows a measure on its qubit")
+                fail("follows a measure on its qubit")
 
     def count(self, name: str) -> int:
         return sum(1 for g in self.gates if g.name == name)
@@ -80,6 +87,11 @@ class Circuit:
     @property
     def cx_count(self) -> int:
         return self.count("cx")
+
+    @property
+    def cnot_equivalent(self) -> int:
+        """CNOT-equivalent count: each swap gate stands for 3 CNOTs."""
+        return self.cx_count + 3 * self.count("swap")
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,12 @@ def run_verify(args) -> int:
         print("error: no platform given and none recorded in the plan file",
               file=sys.stderr)
         return 1
-    relaxed = args.relaxed or bool(data.get("options", {}).get("relaxed"))
+    if not isinstance(platform, str):
+        raise ValueError(f"plan file platform {platform!r} is not a string")
+    options = data.get("options", {})
+    if not isinstance(options, dict):
+        raise ValueError(f"plan file options {options!r} are not a JSON object")
+    relaxed = args.relaxed or bool(options.get("relaxed"))
     coupling = load_coupling(platform)
     report = check_structural(original, mapped, coupling, plan, relaxed=relaxed)
     print(f"connectivity: {'ok' if report.connectivity_ok else 'FAIL'}")

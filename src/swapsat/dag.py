@@ -1,16 +1,19 @@
 """Strict and relaxed dependency DAGs over the CNOT slice.
 
-The strict DAG orders qubit-sharing 2-qubit gates by source position.  The
-relaxed DAG drops orderings that gate commutation rules allow to be swapped:
-CNOTs sharing their control or their data qubit commute, Z-like unary gates
-commute through a control, X-like unary gates commute through a data qubit.
-Barriers fence everything on their qubits in both DAGs.
+`gate_successors` is the one statement of which gates must keep their
+order.  The strict rule keeps every gate after the previous gate on each of
+its qubits; a barrier is a gate on every qubit it spans, so it fences them.
+The relaxed rule drops orderings that gate commutation allows to be
+swapped: CNOTs sharing their control or their data qubit commute, Z-like
+unary gates commute through a control, X-like unary gates commute through a
+data qubit.  Both DAGs, and where `reconstruct` places unary gates, derive
+from it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, CnotSlice, extract_cnot_slice
+from .circuit import Circuit, CnotSlice
 
 # Role of a gate on one of its qubits, for commutation purposes.
 _Z_LIKE = frozenset({"z", "s", "sdg", "t", "tdg", "rz", "u1"})
@@ -19,11 +22,17 @@ _X_LIKE = frozenset({"x", "rx"})
 
 @dataclass(frozen=True)
 class DepDag:
-    """Immediate predecessor/successor relation over cnot ids."""
+    """Dependency edges over cnot ids: pre[i] go before i, suc[i] after it.
+
+    Every edge runs from a lower to a higher id, so id order is a
+    topological order of the DAG and of any subset of its nodes.  The
+    relaxed DAG holds immediate edges only; the strict one links each CNOT
+    to the nearest earlier CNOTs on its qubits, which can include an edge
+    that others imply.
+    """
 
     pre: tuple[frozenset[int], ...]
     suc: tuple[frozenset[int], ...]
-    kind: str  # "strict" | "relaxed"
 
     def __len__(self) -> int:
         return len(self.pre)
@@ -39,54 +48,6 @@ class DepDag:
         return reach
 
 
-def _immediate_from_edges(n: int, edges: set[tuple[int, int]]):
-    """Reduce an edge set to immediate edges (transitive reduction)."""
-    suc_full: list[set[int]] = [set() for _ in range(n)]
-    for i, j in edges:
-        suc_full[i].add(j)
-    reach: list[set[int]] = [set() for _ in range(n)]
-    for i in reversed(range(n)):
-        for j in sorted(suc_full[i]):
-            reach[i].add(j)
-            reach[i] |= reach[j]
-    pre: list[set[int]] = [set() for _ in range(n)]
-    suc: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in suc_full[i]:
-            # j is immediate unless reachable through another successor
-            if not any(j in reach[k] for k in suc_full[i] if k != j):
-                suc[i].add(j)
-                pre[j].add(i)
-    return pre, suc
-
-
-def build_dependency_dag(slice_: CnotSlice, circuit: Circuit) -> DepDag:
-    """Strict DAG: immediate edges between qubit-sharing slice gates of the
-    circuit, with its barriers acting as ordering fences between them."""
-    n = len(slice_)
-    pre: list[set[int]] = [set() for _ in range(n)]
-    suc: list[set[int]] = [set() for _ in range(n)]
-    by_src = {src: i for i, (_c, _d, src) in enumerate(slice_.cnots)}
-    # frontier[q]: cnot ids the next gate on q must depend on
-    frontier: dict[int, set[int]] = {q: set() for q in range(circuit.num_qubits)}
-    for g in circuit.gates:
-        if g.index in by_src:
-            i = by_src[g.index]
-            for q in g.qubits:
-                for p in frontier[q]:
-                    if p != i:
-                        pre[i].add(p)
-                        suc[p].add(i)
-                frontier[q] = {i}
-        elif g.name == "barrier":
-            fenced = set()
-            for q in g.qubits:
-                fenced |= frontier[q]
-            for q in g.qubits:
-                frontier[q] = set(fenced)
-    return DepDag(tuple(frozenset(s) for s in pre), tuple(frozenset(s) for s in suc), "strict")
-
-
 def _role(gate_name: str, qubit_pos: int) -> str:
     """Commutation role of a gate on one of its qubits: 'z', 'x' or 'block'."""
     if gate_name == "cx":
@@ -99,48 +60,68 @@ def _role(gate_name: str, qubit_pos: int) -> str:
     return "block"
 
 
-def obstruction_successors(circuit: Circuit) -> list[set[int]]:
-    """Direct obstruction edges between gate indices: a later gate on a shared
-    qubit obstructs unless both act Z-like or both act X-like there."""
-    suc_g: list[set[int]] = [set() for _ in range(len(circuit.gates))]
-    on_qubit: dict[int, list[tuple[int, str]]] = {q: [] for q in range(circuit.num_qubits)}
+def gate_successors(circuit: Circuit, relaxed: bool) -> list[set[int]]:
+    """For each gate index, the later gates that must stay after it.
+
+    Strict: the next gate on each of its qubits.  Relaxed: every later gate
+    on a shared qubit, unless both act Z-like there or both act X-like.
+    """
+    suc: list[set[int]] = [set() for _ in circuit.gates]
+    on_qubit: list[list[tuple[int, str]]] = [[] for _ in range(circuit.num_qubits)]
     for g in circuit.gates:
         for pos, q in enumerate(g.qubits):
-            on_qubit[q].append((g.index, _role(g.name, pos)))
-    for seq in on_qubit.values():
-        for a in range(len(seq)):
-            gi, ri = seq[a]
-            for b in range(a + 1, len(seq)):
-                gj, rj = seq[b]
-                if ri == "block" or rj == "block" or ri != rj:
-                    suc_g[gi].add(gj)
-    return suc_g
+            role = _role(g.name, pos)
+            for earlier, other in on_qubit[q] if relaxed else on_qubit[q][-1:]:
+                if not relaxed or role != other or role == "block":
+                    suc[earlier].add(g.index)
+            on_qubit[q].append((g.index, role))
+    return suc
 
 
-def build_relaxed_dag(circuit: Circuit) -> DepDag:
-    """Relaxed DAG computed on the full circuit, before unary-gate removal.
+def slice_successors(slice_: CnotSlice, circuit: Circuit, relaxed: bool) -> list[set[int]]:
+    """For each gate index, the cnot ids that must stay after it: the nearest
+    ones along `gate_successors`, found through non-slice gates (strict), or
+    every one it reaches (relaxed)."""
+    id_of = {src: i for i, (_c, _d, src) in enumerate(slice_.cnots)}
+    suc = gate_successors(circuit, relaxed)
+    after: list[set[int]] = [set() for _ in suc]
+    for g in reversed(range(len(suc))):
+        for s in suc[g]:
+            if s in id_of:
+                after[g].add(id_of[s])
+            if s not in id_of or relaxed:
+                after[g] |= after[s]
+    return after
 
-    Two gates sharing a qubit obstruct each other there unless both act
-    Z-like or both act X-like on it.  A dependency between two slice gates
-    exists iff some obstruction path connects them; the result keeps only
-    immediate edges.
-    """
-    slice_ = extract_cnot_slice(circuit)
-    ng = len(circuit.gates)
-    suc_g = obstruction_successors(circuit)
-    # gate-level reachability
-    reach: list[set[int]] = [set() for _ in range(ng)]
-    for gi in reversed(range(ng)):
-        for gj in suc_g[gi]:
-            reach[gi].add(gj)
-            reach[gi] |= reach[gj]
-    # restrict to slice gates
-    src_of = [src for (_c, _d, src) in slice_.cnots]
-    id_of = {src: i for i, src in enumerate(src_of)}
-    edges = set()
-    for i, src in enumerate(src_of):
-        for tgt in reach[src]:
-            if tgt in id_of:
-                edges.add((i, id_of[tgt]))
-    pre, suc = _immediate_from_edges(len(slice_), edges)
-    return DepDag(tuple(frozenset(s) for s in pre), tuple(frozenset(s) for s in suc), "relaxed")
+
+def _dag(suc: list[set[int]]) -> DepDag:
+    pre: list[set[int]] = [set() for _ in suc]
+    for i, later in enumerate(suc):
+        for j in later:
+            pre[j].add(i)
+    return DepDag(tuple(frozenset(s) for s in pre), tuple(frozenset(s) for s in suc))
+
+
+def build_dependency_dag(slice_: CnotSlice, circuit: Circuit) -> DepDag:
+    """Strict DAG: each slice gate's nearest later slice gates on its qubits,
+    through unary gates, measures and barriers."""
+    after = slice_successors(slice_, circuit, relaxed=False)
+    return _dag([after[src] for (_c, _d, src) in slice_.cnots])
+
+
+def build_relaxed_dag(slice_: CnotSlice, circuit: Circuit) -> DepDag:
+    """Relaxed DAG: a slice gate depends on another iff an obstruction path
+    connects them; only immediate edges are kept."""
+    after = slice_successors(slice_, circuit, relaxed=True)
+    reach = [after[src] for (_c, _d, src) in slice_.cnots]
+    suc: list[set[int]] = []
+    for later in reach:
+        # ascending ids: each j reached through another reached k has k < j
+        immediate: set[int] = set()
+        covered: set[int] = set()
+        for j in sorted(later):
+            if j not in covered:
+                immediate.add(j)
+                covered |= reach[j]
+        suc.append(immediate)
+    return _dag(suc)

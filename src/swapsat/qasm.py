@@ -10,7 +10,7 @@ import ast
 import math
 import re
 
-from .circuit import Circuit, CircuitError, Gate, GATE_PARAM_COUNTS, SUPPORTED_GATES, UNARY_GATES
+from .circuit import Circuit, CircuitError, Gate, SUPPORTED_GATES
 
 KNOWN_UNSUPPORTED = {
     "ccx", "cswap", "ccz", "cz", "cy", "ch", "crz", "cu1", "cu3", "id", "sx", "sxdg",
@@ -82,11 +82,14 @@ def _statements(text: str):
 
 
 def parse_qasm(text: str, name: str = "circuit") -> Circuit:
+    """Syntax, registers and indices are checked here, gate validity by
+    `Circuit`; either error carries the source line."""
     qreg_name = None
     num_qubits = 0
     cregs: list[tuple[str, int]] = []
     creg_sizes: dict[str, int] = {}
     gates: list[Gate] = []
+    lines: list[int] = []  # source line of each gate
     saw_header = False
 
     def resolve_qubits(arglist: str, lineno: int) -> list[int]:
@@ -151,6 +154,7 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
             if c >= creg_sizes[cname]:
                 raise QasmError(f"classical index {c} out of range", lineno)
             gates.append(Gate("measure", (q,), (), ((cname, c),), len(gates)))
+            lines.append(lineno)
             continue
         if head == "barrier":
             rest = stmt[len("barrier"):].strip()
@@ -159,6 +163,7 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
             else:
                 qubits = tuple(resolve_qubits(rest, lineno))
             gates.append(Gate("barrier", qubits, (), (), len(gates)))
+            lines.append(lineno)
             continue
         if head in ("if", "opaque", "gate", "reset") or head.startswith("if("):
             raise QasmError(f"unsupported construct '{head.split('(')[0]}'", lineno)
@@ -179,27 +184,19 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
                     eval_param(p)
                 except ValueError as exc:
                     raise QasmError(str(exc), lineno) from exc
-        expected = GATE_PARAM_COUNTS.get(gname, 0)
-        if len(params) != expected:
-            raise QasmError(f"'{gname}' takes {expected} parameter(s), got {len(params)}", lineno)
         qubits = tuple(resolve_qubits(args, lineno))
-        try:
-            gates.append(Gate(gname, qubits, params, (), len(gates)))
-            # Validate eagerly for a positioned error message.
-            if gname in UNARY_GATES and len(qubits) != 1:
-                raise CircuitError(f"'{gname}' acts on 1 qubit")
-            if gname in ("cx", "swap") and len(qubits) != 2:
-                raise CircuitError(f"'{gname}' acts on 2 qubits")
-            if len(set(qubits)) != len(qubits):
-                raise CircuitError("repeated qubit argument")
-        except CircuitError as exc:
-            raise QasmError(str(exc), lineno) from exc
+        gates.append(Gate(gname, qubits, params, (), len(gates)))
+        lines.append(lineno)
 
     if not saw_header:
         raise QasmError("missing OPENQASM 2.0 header", 1)
     if qreg_name is None:
         raise QasmError("missing qreg declaration", 1)
-    return Circuit(num_qubits, tuple(gates), name=name, qreg_name=qreg_name, cregs=tuple(cregs))
+    try:
+        return Circuit(num_qubits, tuple(gates), name=name, qreg_name=qreg_name,
+                       cregs=tuple(cregs))
+    except CircuitError as exc:
+        raise QasmError(str(exc), lines[exc.gate]) from exc
 
 
 def emit_qasm(circuit: Circuit) -> str:

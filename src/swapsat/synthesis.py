@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .circuit import Circuit, CnotSlice, Gate, circuit_depth, extract_cnot_slice
 from .coupling import (CouplingGraph, connected_sets, induced_edges, induced_subgraph,
                        reachable, shape_key)
-from .dag import DepDag, build_dependency_dag, build_relaxed_dag
+from .dag import DepDag, build_dependency_dag, build_relaxed_dag, slice_successors
 from .encoder import EncodeOptions, TwoWayEncoder
 from .solver import Status, make_solver
 
@@ -127,32 +127,13 @@ def _apply_swap(mapping: list[int], p: int, q: int) -> None:
 def build_dag(slice_: CnotSlice, circuit: Circuit, relaxed: bool) -> DepDag:
     """The relaxed or the strict dependency DAG of the circuit's CNOT slice."""
     if relaxed:
-        return build_relaxed_dag(circuit)
+        return build_relaxed_dag(slice_, circuit)
     return build_dependency_dag(slice_, circuit)
 
 
-def _step_order(dag: DepDag, cnots: set[int]) -> tuple[int, ...]:
-    """Topological order of the step-induced sub-DAG, ties by smallest id."""
-    import heapq
-
-    indeg = {i: sum(1 for j in dag.pre[i] if j in cnots) for i in cnots}
-    ready = [i for i in cnots if indeg[i] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(i)
-        for j in dag.suc[i]:
-            if j in cnots:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    heapq.heappush(ready, j)
-    if len(order) != len(cnots):
-        raise SynthesisError("step CNOT group is not DAG-consistent")
-    return tuple(order)
-
-
 def decode_model(model: list[bool], encoder: TwoWayEncoder, t_final: int) -> Plan:
+    """The plan of a model; a step's CNOTs are emitted in id order, which
+    every dependency DAG respects."""
     reg = encoder.reg
     n_l, n_p = encoder.n_l, encoder.n_p
     slice_ = encoder.slice
@@ -193,7 +174,7 @@ def decode_model(model: list[bool], encoder: TwoWayEncoder, t_final: int) -> Pla
                 if not middles:
                     raise SynthesisError(f"bridge at step {t} on non-distance-2 pair {key}")
                 action = Bridge(i, pc, middles[0], pd)
-        steps.append(PlanStep(action, _step_order(encoder.dag, group)))
+        steps.append(PlanStep(action, tuple(sorted(group))))
         # sanity: model mapping agrees with the replayed one
         if mapping_at(t) != mapping:
             raise SynthesisError(f"mapping replay diverges from model at t={t}")
@@ -204,56 +185,19 @@ def decode_model(model: list[bool], encoder: TwoWayEncoder, t_final: int) -> Pla
     return Plan(tuple(initial), tuple(steps), tuple(mapping))
 
 
-def _unary_attachment(circuit: Circuit, slice_: CnotSlice, emission: list[int],
-                      relaxed: bool) -> dict:
-    """For each non-slice gate index: the first emitted cnot id depending on it.
-
-    Strict mode follows the per-qubit order of the original gate list; relaxed
-    mode follows commutation obstructions, so a unary gate never lands before
-    a reordered CNOT it does not commute with.  Gates nothing depends on map
-    to None (emitted at the end).
-    """
-    pos = {cid: k for k, cid in enumerate(emission)}
-    id_of = {src: i for i, (_c, _d, src) in enumerate(slice_.cnots)}
-    # earliest[g]: min emission position over slice gates reachable from gate g
-    earliest: dict[int, int | None] = {}
-    if relaxed:
-        from .dag import obstruction_successors
-
-        suc_list = obstruction_successors(circuit)
-        suc = {g.index: suc_list[g.index] for g in circuit.gates}
-    else:
-        suc = {g.index: set() for g in circuit.gates}
-        frontier: dict[int, set[int]] = {q: set() for q in range(circuit.num_qubits)}
-        for g in circuit.gates:
-            for q in g.qubits:
-                for p in frontier[q]:
-                    suc[p].add(g.index)
-                frontier[q] = {g.index}
-    for g in reversed(circuit.gates):
-        best = pos[id_of[g.index]] if g.index in id_of else None
-        for nxt in suc[g.index]:
-            e = earliest[nxt]
-            if e is not None and (best is None or e < best):
-                best = e
-        earliest[g.index] = best
-    result = {}
-    for g in circuit.gates:
-        if g.index not in id_of and g.name not in ("measure", "barrier"):
-            e = earliest[g.index]
-            result[g.index] = emission[e] if e is not None else None
-    return result
-
-
-def reconstruct(plan: Plan, circuit: Circuit, dag: DepDag, num_physical: int) -> Circuit:
+def reconstruct(plan: Plan, circuit: Circuit, relaxed: bool, num_physical: int) -> Circuit:
     slice_ = extract_cnot_slice(circuit)
     emission = [i for s in plan.steps for i in s.cnots]
-    attach = _unary_attachment(circuit, slice_, emission, dag.kind == "relaxed")
-    # unary gates grouped by the cnot they precede, preserving source order
+    pos = {cid: k for k, cid in enumerate(emission)}
+    after = slice_successors(slice_, circuit, relaxed)
+    # each unary gate goes, in source order, just before the first emitted
+    # cnot that must stay after it (None: at the end).  The nearest such
+    # cnots suffice, since the emission respects the DAG.
     before: dict[int | None, list[Gate]] = {}
     for g in circuit.gates:
-        if g.index in attach:
-            before.setdefault(attach[g.index], []).append(g)
+        if g.is_unary():
+            first = min(after[g.index], key=pos.__getitem__, default=None)
+            before.setdefault(first, []).append(g)
 
     mapping = list(plan.initial_map)
     out: list[Gate] = []
@@ -316,7 +260,7 @@ def compute_metrics(plan: Plan | None, original: Circuit, mapped: Circuit | None
         swaps=swaps,
         bridges=bridges,
         added_cnots=3 * (swaps + bridges),
-        cnot_total=mapped.cx_count + 3 * mapped.count("swap"),
+        cnot_total=mapped.cnot_equivalent,
         depth_before=circuit_depth(original),
         depth_after=circuit_depth(mapped),
     )
@@ -480,7 +424,7 @@ def synthesize(
                     plan = decode_model(result.model, encoder, k)
                     if nodes is not None:
                         plan = _lift(plan, nodes)
-                    mapped = reconstruct(plan, circuit, dag, n_p)
+                    mapped = reconstruct(plan, circuit, options.relaxed, n_p)
                     metrics = compute_metrics(plan, circuit, mapped, "optimal", step_times,
                                               time.monotonic() - start, shapes=shapes,
                                               device_levels=device_levels)

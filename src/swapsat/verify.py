@@ -32,11 +32,6 @@ class VerifyReport:
                 and self.mapping_consistent and self.gate_counts_ok)
 
 
-def _cnot_weight(circuit: Circuit) -> int:
-    """CNOT-equivalent count: each swap gate stands for 3 CNOTs."""
-    return circuit.cx_count + 3 * circuit.count("swap")
-
-
 def check_structural(original: Circuit, mapped: Circuit, coupling: CouplingGraph,
                      plan: Plan, relaxed: bool = False) -> VerifyReport:
     violations: dict[str, str] = {}
@@ -124,9 +119,9 @@ def check_structural(original: Circuit, mapped: Circuit, coupling: CouplingGraph
 
     # (d) CNOT-count accounting and (e) unary gate multiset
     added = 3 * (plan.swaps + plan.bridges)
-    if _cnot_weight(mapped) != _cnot_weight(original) + added:
-        fail("counts", f"mapped CNOT weight {_cnot_weight(mapped)} != "
-             f"original {_cnot_weight(original)} + {added}")
+    if mapped.cnot_equivalent != original.cnot_equivalent + added:
+        fail("counts", f"mapped CNOT weight {mapped.cnot_equivalent} != "
+             f"original {original.cnot_equivalent} + {added}")
     unaries = lambda c: Counter((g.name, g.params) for g in c.gates if g.is_unary())
     if unaries(mapped) != unaries(original):
         fail("counts", "unary gate multiset not preserved")

@@ -87,16 +87,16 @@ def test_barrier_fences_independent_cnots():
 
 def test_relaxed_dag_shared_control_commutes():
     circ = mk(3, [("cx", (0, 1)), ("cx", (0, 2))])
-    relaxed = build_relaxed_dag(circ)
+    relaxed = build_relaxed_dag(extract_cnot_slice(circ), circ)
     assert relaxed.pre[1] == frozenset()
     # shared data qubits commute too
     circ2 = mk(3, [("cx", (1, 0)), ("cx", (2, 0))])
-    assert build_relaxed_dag(circ2).pre[1] == frozenset()
+    assert build_relaxed_dag(extract_cnot_slice(circ2), circ2).pre[1] == frozenset()
 
 
 def test_relaxed_dag_control_vs_data_conflict():
     circ = mk(3, [("cx", (0, 1)), ("cx", (1, 2))])
-    relaxed = build_relaxed_dag(circ)
+    relaxed = build_relaxed_dag(extract_cnot_slice(circ), circ)
     assert relaxed.pre[1] == frozenset({0})
 
 
@@ -105,21 +105,20 @@ def test_relaxed_dag_unary_roles():
     thru = Circuit(3, (Gate("cx", (0, 1), index=0),
                        Gate("rz", (0,), ("pi/4",), index=1),
                        Gate("cx", (0, 2), index=2)))
-    assert build_relaxed_dag(thru).pre[1] == frozenset()
+    assert build_relaxed_dag(extract_cnot_slice(thru), thru).pre[1] == frozenset()
     blocked = mk(3, [("cx", (0, 1)), ("h", (0,)), ("cx", (0, 2))])
-    assert build_relaxed_dag(blocked).pre[1] == frozenset({0})
+    assert build_relaxed_dag(extract_cnot_slice(blocked), blocked).pre[1] == frozenset({0})
 
 
 def test_relaxed_dag_obstruction_is_transitive():
     # cx0 (x on q1), x q1 commutes with cx0's data role but blocks cx2's control
     circ = mk(2, [("cx", (0, 1)), ("x", (1,)), ("cx", (1, 0))])
-    assert build_relaxed_dag(circ).pre[1] == frozenset({0})
+    assert build_relaxed_dag(extract_cnot_slice(circ), circ).pre[1] == frozenset({0})
 
 
 def test_or_circuit_relaxed_drops_an_edge(or_circuit):
-    from swapsat.circuit import extract_cnot_slice
     strict = build_dependency_dag(extract_cnot_slice(or_circuit), or_circuit)
-    relaxed = build_relaxed_dag(or_circuit)
+    relaxed = build_relaxed_dag(extract_cnot_slice(or_circuit), or_circuit)
     strict_edges = {(j, i) for i in range(6) for j in strict.closure()[i]}
     relaxed_edges = {(j, i) for i in range(6) for j in relaxed.closure()[i]}
     assert relaxed_edges < strict_edges

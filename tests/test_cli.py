@@ -95,17 +95,21 @@ def first_swap(plan):
 
 
 @pytest.mark.parametrize("damage", [
-    lambda plan: plan.pop("initial_map"),
-    lambda plan: first_swap(plan).pop("q"),
-    lambda plan: plan["steps"][-1]["cnots"].append(99),
-    lambda plan: plan.update(initial_map=[0]),
-], ids=["no-initial-map", "swap-without-q", "unknown-cnot", "short-initial-map"])
+    lambda data: data["plan"].pop("initial_map"),
+    lambda data: first_swap(data["plan"]).pop("q"),
+    lambda data: data["plan"]["steps"][-1]["cnots"].append(99),
+    lambda data: data["plan"].update(initial_map=[0]),
+    lambda data: data.update(options=[]),
+    lambda data: data.update(options=None),
+    lambda data: data.update(platform=3),
+], ids=["no-initial-map", "swap-without-q", "unknown-cnot", "short-initial-map",
+        "options-list", "options-null", "platform-number"])
 def test_verify_rejects_a_malformed_plan(circuits_dir, tmp_path, damage):
     out, metrics = tmp_path / "mapped.qasm", tmp_path / "metrics.json"
     assert main(["map", "--circuit", or_path(circuits_dir), "--platform", "linear-3",
                  "--output", str(out), "--metrics", str(metrics)]) == 0
     data = json.loads(metrics.read_text())
-    damage(data["plan"])
+    damage(data)
     metrics.write_text(json.dumps(data))
     assert main(["verify", "--original", or_path(circuits_dir),
                  "--mapped", str(out), "--plan", str(metrics)]) == 1

@@ -80,8 +80,9 @@ def test_error_reports_line_number():
 
 
 def test_gate_after_measure_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(QasmError, match="follows a measure") as err:
         parse_qasm(
             "OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\n"
             "measure q[0] -> c[0];\nh q[0];\n"
         )
+    assert err.value.line == 5

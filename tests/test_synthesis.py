@@ -187,9 +187,7 @@ def test_plan_serialization_roundtrip(or_circuit):
 
 def test_reconstruct_independent_of_synthesize(or_circuit):
     result = synthesize(or_circuit, linear_graph(3))
-    slice_ = extract_cnot_slice(or_circuit)
-    dag = build_dependency_dag(slice_, or_circuit)
-    again = reconstruct(result.plan, or_circuit, dag, 3)
+    again = reconstruct(result.plan, or_circuit, False, 3)
     assert [(g.name, g.qubits) for g in again.gates] == \
         [(g.name, g.qubits) for g in result.mapped_circuit.gates]
 
