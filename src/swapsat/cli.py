@@ -5,27 +5,31 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .circuit import extract_cnot_slice
-from .coupling import CouplingError, load_coupling
-from .encoder import EncodeOptions, EncodingError, TwoWayEncoder
-from .qasm import QasmError, emit_qasm, parse_qasm
+from .coupling import load_coupling
+from .encoder import EncodeOptions, TwoWayEncoder
+from .qasm import emit_qasm, parse_qasm
 from .solver import SolverError
 from .synthesis import Limits, build_dag, plan_from_dict, plan_to_dict, synthesize
 from .verify import check_structural, check_unitary_equivalence, oracle_min_swaps
 
 METRICS_SCHEMA = "swapsat-metrics-1"
 
-COMBOS = {
-    "S": EncodeOptions(bridges=False, relaxed=False),
-    "SB": EncodeOptions(bridges=True, relaxed=False),
-    "SR": EncodeOptions(bridges=False, relaxed=True),
-    "SBR": EncodeOptions(bridges=True, relaxed=True),
-}
 
-# what bad input raises: it ends a command, or fails one bench row
-ERRORS = (QasmError, CouplingError, EncodingError, SolverError, ValueError, OSError)
+def combo_name(options: EncodeOptions) -> str:
+    """S, then B for bridges and R for relaxed dependencies; ancillas are not named."""
+    return "S" + "B" * options.bridges + "R" * options.relaxed
+
+
+COMBOS = {combo_name(o): o for o in (EncodeOptions(bridges=b, relaxed=r)
+                                     for r in (False, True) for b in (False, True))}
+
+# what bad input raises: it ends a command, or fails one bench row (the
+# parser's, the loader's and the encoder's errors are ValueErrors)
+ERRORS = (SolverError, ValueError, OSError)
 
 
 def _add_option_flags(parser: argparse.ArgumentParser) -> None:
@@ -57,7 +61,7 @@ def run_map(args) -> int:
     metrics["circuit"] = circuit.name
     metrics["platform"] = coupling.name
     metrics["options"] = {"ancillary": options.ancillary, "bridges": options.bridges,
-                          "relaxed": options.relaxed, "combo": options.combo_name()}
+                          "relaxed": options.relaxed, "combo": combo_name(options)}
     metrics["solver"] = args.solver
 
     if result.plan is None:
@@ -204,17 +208,14 @@ def run_bench(args) -> int:
                 rows.append(row)
     fields = ["circuit", "qubits", "cx", "platform", "combo", "swaps",
               "bridges", "depth", "time", "status"]
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
+    if args.output or not args.json:  # CSV to the file, or by default to stdout
+        out = open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout)
+        with out as fh:
             writer = csv.DictWriter(fh, fieldnames=fields)
             writer.writeheader()
             writer.writerows(rows)
     if args.json:
         Path(args.json).write_text(json.dumps(rows, indent=2) + "\n")
-    if not args.output and not args.json:
-        writer = csv.DictWriter(sys.stdout, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
     return 0
 
 

@@ -118,13 +118,14 @@ class CnfInstance:
         else:
             self.at_most_one(lits)
 
-    def exactly_two(self, lits) -> None:
-        self.exactly_k(lits, 2)
-
-    def to_dimacs(self) -> str:
-        lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
+    def to_dimacs(self, units=()) -> str:
+        """The instance as DIMACS, followed by one unit clause per literal in
+        `units` (an external solver's assumptions); the header counts both."""
+        units = list(units)
+        lines = [f"p cnf {self.num_vars} {len(self.clauses) + len(units)}"]
         for clause in self.clauses:
             lines.append(" ".join(str(lit) for lit in clause) + " 0")
+        lines += [f"{lit} 0" for lit in units]
         return "\n".join(lines) + "\n"
 
     @classmethod

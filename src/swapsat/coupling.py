@@ -202,13 +202,18 @@ def _from_json_dict(data: dict, default_name: str) -> CouplingGraph:
         name = data.get("name", default_name)
     except (KeyError, TypeError) as exc:
         raise CouplingError(f"malformed coupling file: {exc}") from exc
+    # ids must be JSON integers: a float or a boolean would be read as another id
+    if type(n) is not int or n < 0:
+        raise CouplingError(f"num_qubits {n!r} is not a non-negative integer")
+    if not isinstance(raw_edges, list):
+        raise CouplingError(f"edges {raw_edges!r} is not a list")
     edges = set()
     for e in raw_edges:
-        if len(e) != 2:
-            raise CouplingError(f"bad edge entry {e!r}")
-        u, v = int(e[0]), int(e[1])
+        if not (isinstance(e, list) and len(e) == 2 and all(type(u) is int for u in e)):
+            raise CouplingError(f"bad edge entry {e!r}: expected two integer ids")
+        u, v = e
         edges.add((min(u, v), max(u, v)))
-    return CouplingGraph(int(n), frozenset(edges), name)
+    return CouplingGraph(n, frozenset(edges), name)
 
 
 def load_coupling(spec: str) -> CouplingGraph:

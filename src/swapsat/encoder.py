@@ -27,14 +27,6 @@ class EncodeOptions:
     bridges: bool = False
     relaxed: bool = False
 
-    def combo_name(self) -> str:
-        name = "S"
-        if self.bridges:
-            name += "B"
-        if self.relaxed:
-            name += "R"
-        return name
-
 
 @dataclass
 class VarRegistry:
@@ -155,7 +147,7 @@ class TwoWayEncoder:
                                                 for q in self.nbrs[p]])
         else:
             cnf.exactly_one(swaps)
-            cnf.exactly_two(touches)
+            cnf.exactly_k(touches, 2)
         # mapping update under the chosen SWAP
         for (p, q) in self.edges:
             s = reg.swap[((p, q), t)]

@@ -45,16 +45,18 @@ def eval_param(text: str) -> float:
             raise ValueError(f"unknown symbol {node.id!r} in parameter {text!r}")
         if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
             raise ValueError(f"non-numeric literal in parameter {text!r}")
-    return float(eval(compile(tree, "<param>", "eval"), {"__builtins__": {}}, {"pi": math.pi}))
+    try:
+        value = float(eval(compile(tree, "<param>", "eval"), {"__builtins__": {}}, {"pi": math.pi}))
+    except ArithmeticError as exc:
+        raise ValueError(f"parameter {text!r} cannot be evaluated: {exc}") from exc
+    if not math.isfinite(value):
+        raise ValueError(f"parameter {text!r} is not finite")
+    return value
 
 
-_QREG_RE = re.compile(r"^qreg\s+([a-zA-Z_][\w]*)\s*\[\s*(\d+)\s*\]$")
-_CREG_RE = re.compile(r"^creg\s+([a-zA-Z_][\w]*)\s*\[\s*(\d+)\s*\]$")
-_MEASURE_RE = re.compile(
-    r"^measure\s+([a-zA-Z_][\w]*)\s*(\[\s*(\d+)\s*\])?\s*->\s*([a-zA-Z_][\w]*)\s*(\[\s*(\d+)\s*\])?$"
-)
+_REG_RE = re.compile(r"^[qc]reg\s+([a-zA-Z_][\w]*)\s*\[\s*(\d+)\s*\]$")
 _APP_RE = re.compile(r"^([a-zA-Z_][\w]*)\s*(\(([^)]*)\))?\s*(.*)$")
-_QUBIT_RE = re.compile(r"^([a-zA-Z_][\w]*)\s*(\[\s*(\d+)\s*\])?$")
+_OPERAND_RE = re.compile(r"^([a-zA-Z_][\w]*)\s*(\[\s*(\d+)\s*\])?$")
 
 
 def _statements(text: str):
@@ -82,33 +84,32 @@ def _statements(text: str):
 
 
 def parse_qasm(text: str, name: str = "circuit") -> Circuit:
-    """Syntax, registers and indices are checked here, gate validity by
-    `Circuit`; either error carries the source line."""
+    """Syntax, registers and classical indices are checked here, gates and
+    their qubits by `Circuit`; either error carries the source line."""
     qreg_name = None
     num_qubits = 0
+    qreg_sizes: dict[str, int] = {}
     cregs: list[tuple[str, int]] = []
     creg_sizes: dict[str, int] = {}
     gates: list[Gate] = []
     lines: list[int] = []  # source line of each gate
     saw_header = False
 
-    def resolve_qubits(arglist: str, lineno: int) -> list[int]:
-        qubits = []
-        for part in arglist.split(","):
-            part = part.strip()
-            m = _QUBIT_RE.match(part)
-            if not m:
-                raise QasmError(f"bad qubit argument {part!r}", lineno)
-            reg, _, idx = m.groups()
-            if reg != qreg_name:
-                raise QasmError(f"unknown register {reg!r}", lineno)
-            if idx is None:
-                raise QasmError("whole-register gate application is not supported", lineno)
-            q = int(idx)
-            if q >= num_qubits:
-                raise QasmError(f"qubit index {q} out of range", lineno)
-            qubits.append(q)
-        return qubits
+    def operand(part: str, sizes: dict[str, int], lineno: int) -> tuple[str, int]:
+        """The register, one of `sizes`, and the index of a `reg[i]` operand."""
+        part = part.strip()
+        m = _OPERAND_RE.match(part)
+        if not m:
+            raise QasmError(f"bad operand {part!r}", lineno)
+        reg, _, idx = m.groups()
+        if reg not in sizes:
+            raise QasmError(f"unknown register {reg!r}", lineno)
+        if idx is None:
+            raise QasmError(f"whole-register operand {part!r} is not supported", lineno)
+        return reg, int(idx)
+
+    def qubits(arglist: str, lineno: int) -> tuple[int, ...]:
+        return tuple(operand(part, qreg_sizes, lineno)[1] for part in arglist.split(","))
 
     for stmt, lineno in _statements(text):
         head = stmt.split(None, 1)[0]
@@ -119,38 +120,28 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
             continue
         if head == "include":
             continue
-        if head == "qreg":
-            m = _QREG_RE.match(stmt)
+        if head in ("qreg", "creg"):
+            m = _REG_RE.match(stmt)
             if not m:
-                raise QasmError(f"bad qreg declaration {stmt!r}", lineno)
+                raise QasmError(f"bad {head} declaration {stmt!r}", lineno)
+            reg, size = m.group(1), int(m.group(2))
+            if head == "creg":
+                cregs.append((reg, size))
+                creg_sizes[reg] = size
+                continue
             if qreg_name is not None:
                 raise QasmError("multiple qreg declarations are not supported", lineno)
-            qreg_name = m.group(1)
-            num_qubits = int(m.group(2))
-            continue
-        if head == "creg":
-            m = _CREG_RE.match(stmt)
-            if not m:
-                raise QasmError(f"bad creg declaration {stmt!r}", lineno)
-            cregs.append((m.group(1), int(m.group(2))))
-            creg_sizes[m.group(1)] = int(m.group(2))
+            qreg_name, num_qubits = reg, size
+            qreg_sizes[reg] = size
             continue
         if qreg_name is None:
             raise QasmError("statement before qreg declaration", lineno)
         if head == "measure":
-            m = _MEASURE_RE.match(stmt)
-            if not m:
+            sides = stmt[len("measure"):].split("->")
+            if len(sides) != 2:
                 raise QasmError(f"bad measure statement {stmt!r}", lineno)
-            qname, _, qidx, cname, _, cidx = m.groups()
-            if qname != qreg_name:
-                raise QasmError(f"unknown register {qname!r}", lineno)
-            if cname not in creg_sizes:
-                raise QasmError(f"unknown classical register {cname!r}", lineno)
-            if qidx is None or cidx is None:
-                raise QasmError("whole-register measure is not supported", lineno)
-            q, c = int(qidx), int(cidx)
-            if q >= num_qubits:
-                raise QasmError(f"qubit index {q} out of range", lineno)
+            _, q = operand(sides[0], qreg_sizes, lineno)
+            cname, c = operand(sides[1], creg_sizes, lineno)
             if c >= creg_sizes[cname]:
                 raise QasmError(f"classical index {c} out of range", lineno)
             gates.append(Gate("measure", (q,), (), ((cname, c),), len(gates)))
@@ -159,10 +150,10 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
         if head == "barrier":
             rest = stmt[len("barrier"):].strip()
             if rest in ("", qreg_name):
-                qubits = tuple(range(num_qubits))
+                spanned = tuple(range(num_qubits))
             else:
-                qubits = tuple(resolve_qubits(rest, lineno))
-            gates.append(Gate("barrier", qubits, (), (), len(gates)))
+                spanned = qubits(rest, lineno)
+            gates.append(Gate("barrier", spanned, (), (), len(gates)))
             lines.append(lineno)
             continue
         if head in ("if", "opaque", "gate", "reset") or head.startswith("if("):
@@ -184,8 +175,7 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
                     eval_param(p)
                 except ValueError as exc:
                     raise QasmError(str(exc), lineno) from exc
-        qubits = tuple(resolve_qubits(args, lineno))
-        gates.append(Gate(gname, qubits, params, (), len(gates)))
+        gates.append(Gate(gname, qubits(args, lineno), params, (), len(gates)))
         lines.append(lineno)
 
     if not saw_header:

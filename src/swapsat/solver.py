@@ -68,8 +68,7 @@ class InternalSolver:
         self.instance = instance
         self.nvars = 0
         self.clauses: list[list[int] | None] = []
-        self.learned: set[int] = set()
-        self.clause_act: dict[int, float] = {}
+        self.learned: dict[int, float] = {}  # learned clause index -> activity
         self.val: list[int] = [_UNDEF]  # indexed by literal
         self.watches: list[list[int]] = [[]]  # indexed by literal
         self.level: list[int] = [0]
@@ -238,11 +237,12 @@ class InternalSolver:
         self._rebuild_heap()
 
     def _bump_clause(self, ci: int) -> None:
-        if ci in self.learned:
-            self.clause_act[ci] = self.clause_act.get(ci, 0.0) + self.cla_inc
-            if self.clause_act[ci] > 1e20:
-                for k in self.clause_act:
-                    self.clause_act[k] *= 1e-20
+        learned = self.learned
+        if ci in learned:
+            learned[ci] += self.cla_inc
+            if learned[ci] > 1e20:
+                for k in learned:
+                    learned[k] *= 1e-20
                 self.cla_inc *= 1e-20
 
     def _analyze(self, confl: int) -> tuple[list[int], int]:
@@ -303,13 +303,12 @@ class InternalSolver:
 
     def _reduce_db(self) -> None:
         locked = {self.reason[abs(lit)] for lit in self.trail if self.reason[abs(lit)] is not None}
-        cand = [ci for ci in self.learned
-                if ci not in locked and self.clauses[ci] is not None and len(self.clauses[ci]) > 2]
-        cand.sort(key=lambda ci: self.clause_act.get(ci, 0.0))
+        learned = self.learned
+        cand = [ci for ci in learned if ci not in locked and len(self.clauses[ci]) > 2]
+        cand.sort(key=learned.__getitem__)
         for ci in cand[: len(cand) // 2]:
             self.clauses[ci] = None
-            self.learned.discard(ci)
-            self.clause_act.pop(ci, None)
+            del learned[ci]
         # propagation never meets a deleted clause: its watches go now
         clauses = self.clauses
         for ws in self.watches:
@@ -356,7 +355,6 @@ class InternalSolver:
             if not 0 < abs(lit) <= self.nvars:
                 raise SolverError(f"assumption literal {lit} out of range")
 
-        self._cancel_until(0)
         val = self.val
         restart_round = 0
         conflicts_this_round = 0
@@ -373,18 +371,15 @@ class InternalSolver:
                 learnt, back = self._analyze(confl)
                 self._cancel_until(back)
                 if len(learnt) == 1:
-                    if val[learnt[0]] == _FALSE:
-                        self.root_conflict = True
-                        return SolveResult(Status.UNSAT, stats=stats())
-                    if val[learnt[0]] == _UNDEF:
-                        self._enqueue(learnt[0], None)
+                    # the negated UIP, assigned at the conflict level (at
+                    # least 1), so it is unassigned after the backjump to 0
+                    self._enqueue(learnt[0], None)
                 else:
                     ci = len(self.clauses)
                     self.clauses.append(learnt)
                     self.watches[learnt[0]].append(ci)
                     self.watches[learnt[1]].append(ci)
-                    self.learned.add(ci)
-                    self.clause_act[ci] = self.cla_inc
+                    self.learned[ci] = self.cla_inc
                     self._enqueue(learnt[0], ci)
                 if len(self.learned) > self.max_learned:
                     self._reduce_db()
@@ -448,18 +443,10 @@ class ExternalSolver:
 
     def solve(self, assumptions=(), time_limit: float | None = None) -> SolveResult:
         start = time.monotonic()
-        inst = self.instance
-        assumptions = list(assumptions)
-        header = f"p cnf {inst.num_vars} {len(inst.clauses) + len(assumptions)}\n"
-        body = [header]
-        for clause in inst.clauses:
-            body.append(" ".join(map(str, clause)) + " 0\n")
-        for lit in assumptions:
-            body.append(f"{lit} 0\n")
         fd, path = tempfile.mkstemp(suffix=".cnf", prefix="swapsat_")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.writelines(body)
+                fh.write(self.instance.to_dimacs(assumptions))
             argv = shlex.split(self.command)
             if any("{file}" in a for a in argv):
                 argv = [a.replace("{file}", path) for a in argv]

@@ -416,7 +416,7 @@ def synthesize(
                 if len(step_times) == k:
                     step_times.append(0.0)
                     shapes.append(0)
-                step_times[k] += result.stats.get("time", 0.0)
+                step_times[k] += result.stats["time"]
                 shapes[k] += 1
                 if nodes is None:
                     device_levels.append(k)

@@ -176,6 +176,28 @@ def test_bench_loads_each_platform_once(circuits_dir, tmp_path, monkeypatch):
     assert loads == ["linear-5", "nope"]
 
 
+def test_malformed_coupling_file(circuits_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"num_qubits": 3, "edges": 5}))
+    assert main(["map", "--circuit", or_path(circuits_dir),
+                 "--platform", f"file:{bad}"]) == 1
+    assert capsys.readouterr().err.startswith("error: edges 5 is not a list")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "or.qasm").write_text((circuits_dir / "or.qasm").read_text())
+    out = tmp_path / "bench.csv"
+    code = main(["bench", "--circuits", str(corpus), "--platform", "linear-3",
+                 "--platform", f"file:{bad}", "--output", str(out)])
+    assert code == 0
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 2 * 4
+    for row in rows:
+        if row["platform"] == "linear-3":
+            assert row["status"] == "optimal", row
+        else:
+            assert row["status"].startswith("error: edges 5 is not a list")
+
+
 def test_bench_empty_dir(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()

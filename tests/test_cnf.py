@@ -72,7 +72,7 @@ def test_exactly_one_and_two(n):
 
     cnf2 = CnfInstance()
     lits2 = cnf2.new_vars(n)
-    cnf2.exactly_two(lits2)
+    cnf2.exactly_k(lits2, 2)
     assert len(enumerate_models(cnf2, lits2)) == comb(n, 2)
 
 
@@ -184,6 +184,19 @@ def test_dimacs_roundtrip():
     assert text.splitlines()[0] == "p cnf 3 2"
     again = CnfInstance.from_dimacs(text)
     assert again == cnf
+
+
+def test_dimacs_units_follow_the_clauses():
+    cnf = CnfInstance()
+    a, b, c = cnf.new_vars(3)
+    cnf.add_clause([a, -b])
+    cnf.add_clause([b, c, -a])
+    text = cnf.to_dimacs([-c, a])
+    assert text.splitlines()[0] == "p cnf 3 4"
+    again = CnfInstance.from_dimacs(text)
+    assert again.num_vars == 3
+    assert again.clauses == cnf.clauses + [[-c], [a]]
+    assert cnf.to_dimacs(()) == cnf.to_dimacs()
 
 
 def test_dimacs_parse_errors():

@@ -100,6 +100,24 @@ def test_load_generators_and_errors(tmp_path):
         load_coupling(f"file:{bad}")
 
 
+@pytest.mark.parametrize("data", [
+    {"num_qubits": 3, "edges": 5},
+    {"num_qubits": 3, "edges": [5]},
+    {"num_qubits": 3, "edges": [[0, 1, 2]]},
+    {"num_qubits": 3.7, "edges": [[0, 1]]},
+    {"num_qubits": True, "edges": []},
+    {"num_qubits": -1, "edges": []},
+    {"num_qubits": 3, "edges": [[0, 1.9]]},
+    {"num_qubits": 3, "edges": [[0, True]]},
+    {"num_qubits": 3, "edges": [[0, "1"]]},
+])
+def test_malformed_coupling_file(tmp_path, data):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(CouplingError):
+        load_coupling(f"file:{path}")
+
+
 def test_distance2_pairs():
     g = linear_graph(4)
     paths = distance2_pairs(g)

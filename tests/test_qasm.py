@@ -73,6 +73,26 @@ def test_parse_errors(bad, msg):
         parse_qasm(bad)
 
 
+@pytest.mark.parametrize("stmt,msg", [
+    ("measure q[0] -> d[0];", "unknown register 'd'"),
+    ("measure r[0] -> c[0];", "unknown register 'r'"),
+    ("measure q[0] -> c[2];", "classical index 2 out of range"),
+    ("measure q -> c;", "whole-register"),
+    ("measure q[0] -> c;", "whole-register"),
+    ("measure q[0] c[0];", "bad measure statement"),
+    ("measure q[0] -> c[0] -> c[1];", "bad measure statement"),
+    # the measured qubit is checked by Circuit, at the measure's line
+    ("measure q[2] -> c[0];", "addresses qubit out of range"),
+    ("rz(1/0) q[0];", "cannot be evaluated"),
+    ("rz(1e999) q[0];", "not finite"),
+    ("rz(1e308*10) q[0];", "not finite"),
+])
+def test_operand_and_angle_errors_at_their_line(stmt, msg):
+    with pytest.raises(QasmError, match=msg) as err:
+        parse_qasm("OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\n" + stmt + "\n")
+    assert err.value.line == 5
+
+
 def test_error_reports_line_number():
     with pytest.raises(QasmError) as err:
         parse_qasm("OPENQASM 2.0;\nqreg q[2];\nh q[0];\nbadgate q[0];\n")

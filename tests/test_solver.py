@@ -1,4 +1,6 @@
 import random
+import shlex
+import sys
 from heapq import heappush
 from itertools import combinations, product
 
@@ -215,6 +217,69 @@ def test_external_backend_assumptions():
     assert ext.solve([-a, -b]).status is Status.UNSAT
     result = ext.solve([-a])
     assert result.status is Status.SAT and result.model[b]
+
+
+def test_external_backend_reads_the_instance_with_assumption_units(tmp_path):
+    cnf = CnfInstance()
+    a, b, c = cnf.new_vars(3)
+    cnf.add_clause([a, -b])
+    cnf.add_clause([b, c, -a])
+    copy = tmp_path / "seen.cnf"
+    script = "import shutil, sys; shutil.copy(sys.argv[1], sys.argv[2]); print('s UNKNOWN')"
+    command = shlex.join([sys.executable, "-c", script, "{file}", str(copy)])
+    assert ExternalSolver(cnf, command).solve([-c, b]).status is Status.UNKNOWN
+    assert copy.read_text() == cnf.to_dimacs([-c, b])
+
+
+def random_3sat(seed, n_vars, n_clauses):
+    rng = random.Random(seed)
+    cnf = CnfInstance()
+    cnf.new_vars(n_vars)
+    for _ in range(n_clauses):
+        cnf.add_clause([v if rng.random() < 0.5 else -v
+                        for v in rng.sample(range(1, n_vars + 1), 3)])
+    return cnf
+
+
+def check_learned_table(solver):
+    """Every learned index is a live clause; no deleted one is watched."""
+    assert all(solver.clauses[ci] is not None for ci in solver.learned)
+    deleted = {ci for ci, c in enumerate(solver.clauses) if c is None}
+    assert not deleted & solver.learned.keys()
+    assert not any(deleted.intersection(ws) for ws in solver.watches)
+
+
+@pytest.mark.parametrize("instance,expected", [
+    (pigeonhole(5), Status.UNSAT),
+    (pigeonhole(6), Status.UNSAT),
+] + [(random_3sat(seed, 90, 378), None) for seed in range(8)],
+    ids=["php5", "php6"] + [f"3sat-{seed}" for seed in range(8)])
+def test_clause_deletion_keeps_answers_and_tables(instance, expected):
+    solver = InternalSolver(instance)
+    solver.max_learned = 50
+    rounds = []
+    reduce_db = solver._reduce_db
+
+    def checked_reduce_db():
+        reduce_db()
+        check_learned_table(solver)
+        rounds.append(len(solver.learned))
+
+    solver._reduce_db = checked_reduce_db
+    result = solver.solve()
+    assert len(rounds) >= 2
+    # no clause is deleted below the default limit on these instances
+    reference = InternalSolver(instance).solve()
+    assert result.status is (expected or reference.status)
+    if result.status is Status.SAT:
+        _check_model(instance, result.model)
+        # the reduced database still answers later calls under assumptions
+        for lit in (1, -2, 3):
+            again = solver.solve([lit])
+            assert again.status is InternalSolver(instance).solve([lit]).status
+            if again.status is Status.SAT:
+                assert again.model[abs(lit)] == (lit > 0)
+        check_learned_table(solver)
 
 
 def test_make_solver():
