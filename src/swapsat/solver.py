@@ -98,15 +98,15 @@ class InternalSolver:
         self.nvars = nvars
         # literals 1..old keep their slots and -old..-1 stay at the end, so
         # the new literals' slots go in between
-        self.val = self.val[:old + 1] + [_UNDEF] * (2 * added) + self.val[old + 1:]
-        self.watches = (self.watches[:old + 1] + [[] for _ in range(2 * added)]
-                        + self.watches[old + 1:])
+        self.val[old + 1:old + 1] = [_UNDEF] * (2 * added)
+        self.watches[old + 1:old + 1] = [[] for _ in range(2 * added)]
         self.level += [0] * added
         self.reason += [None] * added
         self.phase += [False] * added
         self.activity += [0.0] * added
-        for v in range(old + 1, nvars + 1):
-            heappush(self.heap, (0.0, v))
+        # every key in the heap is at most (0.0, old), so the new keys,
+        # appended in increasing order, keep it ordered
+        self.heap += [(0.0, v) for v in range(old + 1, nvars + 1)]
 
     def _ingest(self) -> None:
         self._grow(self.instance.num_vars)
@@ -119,6 +119,14 @@ class InternalSolver:
         for lits in new:
             # Ingestion happens at level 0: watched literals must not be
             # false already, or the clause would never wake its watchers.
+            # Almost every clause can watch its first two literals as they
+            # are; a root-false literal further on is never watched.
+            if len(lits) > 1 and val[lits[0]] != _FALSE and val[lits[1]] != _FALSE:
+                ci = len(clauses)
+                clauses.append(list(lits))
+                watches[lits[0]].append(ci)
+                watches[lits[1]].append(ci)
+                continue
             keep = [lit for lit in lits if val[lit] != _FALSE]
             if len(keep) > 1:
                 if len(keep) < len(lits):
@@ -415,9 +423,8 @@ class InternalSolver:
                 if v is None:
                     model = [x == _TRUE for x in val[:self.nvars + 1]]
                     _check_model(self.instance, model)
-                    result = SolveResult(Status.SAT, model=model, stats=stats())
-                    self._cancel_until(0)
-                    return result
+                    # the next solve backtracks to level 0 as it ingests
+                    return SolveResult(Status.SAT, model=model, stats=stats())
                 next_lit = v if self.phase[v] else -v
             self.decisions += 1
             self.trail_lim.append(len(self.trail))

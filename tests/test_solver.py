@@ -288,3 +288,82 @@ def test_make_solver():
     assert isinstance(make_solver(cnf, "external:foo"), ExternalSolver)
     with pytest.raises(SolverError):
         make_solver(cnf, "quantum")
+
+
+def test_ingest_watches_no_root_false_literal():
+    """Clauses whose first literals are false at level 0 watch the first two
+    that are not, in clause order; the others watch their first two."""
+    cnf = CnfInstance()
+    a, b, c, d, e = cnf.new_vars(5)
+    solver = InternalSolver(cnf)
+
+    def ingest(lits_list, root_false):
+        for lits in lits_list:
+            cnf.add_clause(lits)
+        start = len(solver.clauses)
+        solver._ingest()
+        stored = solver.clauses[start:]
+        assert [c[:2] for c in stored] == [
+            [lit for lit in lits if lit not in root_false][:2]
+            for lits in lits_list if len(lits) > 1]
+        assert [sorted(c) for c in stored] == [sorted(lits) for lits in lits_list
+                                               if len(lits) > 1]
+        for lit in range(-cnf.num_vars, cnf.num_vars + 1):
+            if lit and solver.watches[lit]:
+                assert solver.val[lit] != -1, lit
+
+    ingest([[-a], [a, b, c], [b, a, c], [b, c, a], [a, c, b, d], [b, -a, c]], {a})
+    assert solver.solve().status is Status.SAT
+    # the second ingestion backtracks from the model and meets -a and -e at level 0
+    ingest([[-e], [e, a, d, b], [d, e, b], [a, e, c, d], [c, d, e, a]], {a, e})
+    assert solver.solve().status is Status.SAT
+
+
+def heap_ordered(heap):
+    return all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
+
+
+def test_grow_keeps_the_heap_ordered():
+    for seed in range(6):
+        cnf = random_3sat(100 + seed, 40, 170)
+        solver = InternalSolver(cnf)
+        result = solver.solve([1, -2, 3])
+        assert solver.conflicts > 0
+        # bumps and backjumps leave keys below zero in the heap
+        solver._cancel_until(0)
+        assert any(key < 0 for key, _ in solver.heap)
+        old = solver.nvars
+        cnf.new_vars(25)
+        solver._grow(cnf.num_vars)
+        assert heap_ordered(solver.heap)
+        assert {(0.0, v) for v in range(old + 1, old + 26)} <= set(solver.heap)
+        assert len(solver.val) == len(solver.watches) == 2 * (old + 25) + 1
+        # the literal-indexed lists keep each old literal's slot
+        assert solver.val[-old - 25] == solver.val[-old - 24] == 0
+        if result.status is Status.SAT:
+            assert solver.solve().status is Status.SAT
+
+
+def test_sat_answer_leaves_a_reusable_solver():
+    """After a SAT answer, new clauses and assumptions give the answers of
+    a fresh solver, with valid models."""
+    for seed in range(12):
+        rng = random.Random(200 + seed)
+        cnf = random_3sat(200 + seed, 30, 110)
+        solver = InternalSolver(cnf)
+        result = solver.solve([rng.choice((1, -1)) * rng.randint(1, 30)])
+        for _ in range(4):
+            if result.status is not Status.SAT:
+                break
+            cnf.new_vars(3)
+            n = cnf.num_vars
+            for _ in range(12):
+                cnf.add_clause([v if rng.random() < 0.5 else -v
+                                for v in rng.sample(range(1, n + 1), 3)])
+            lit = rng.choice((1, -1)) * rng.randint(1, n)
+            result = solver.solve([lit])
+            fresh = InternalSolver(cnf).solve([lit])
+            assert result.status is fresh.status
+            if result.status is Status.SAT:
+                _check_model(cnf, result.model)
+                assert result.model[abs(lit)] == (lit > 0)
