@@ -179,6 +179,58 @@ def shape_key(num_nodes: int, edges) -> tuple:
     return num_nodes, best
 
 
+def spans(big_edges, small_edges, size: int) -> bool:
+    """True when the graph of `small_edges` is isomorphic to a spanning
+    subgraph of the graph of `big_edges`, both on nodes 0..size-1.
+
+    Edge counts and sorted degree sequences rule most pairs out.  The rest
+    are decided by placing the small graph's nodes one at a time, each next
+    to as many placed neighbours as possible, on an unused node of at least
+    its degree that is adjacent to the places of all its placed neighbours.
+    """
+    if len(small_edges) > len(big_edges):
+        return False
+    small = [0] * size
+    big = [0] * size
+    for edges, adj in ((small_edges, small), (big_edges, big)):
+        for u, v in edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    small_deg = [a.bit_count() for a in small]
+    big_deg = [a.bit_count() for a in big]
+    if any(s > b for s, b in zip(sorted(small_deg), sorted(big_deg))):
+        return False
+    # placement order: most placed neighbours, then highest degree
+    order: list[int] = []
+    placed = 0
+    while len(order) < size:
+        u = max((v for v in range(size) if not placed >> v & 1),
+                key=lambda v: ((small[v] & placed).bit_count(), small_deg[v], -v))
+        order.append(u)
+        placed |= 1 << u
+    earlier = [[w for w in order[:i] if small[u] >> w & 1] for i, u in enumerate(order)]
+    fits = [sum(1 << b for b in range(size) if big_deg[b] >= small_deg[u])
+            for u in range(size)]
+    image = [0] * size
+
+    def place(i: int, used: int) -> bool:
+        if i == size:
+            return True
+        u = order[i]
+        cand = fits[u] & ~used
+        for w in earlier[i]:
+            cand &= big[image[w]]
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            image[u] = bit.bit_length() - 1
+            if place(i + 1, used | bit):
+                return True
+        return False
+
+    return place(0, 0)
+
+
 def linear_graph(n: int) -> CouplingGraph:
     return CouplingGraph(n, frozenset((i, i + 1) for i in range(n - 1)), f"linear-{n}")
 

@@ -125,6 +125,8 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
             if not m:
                 raise QasmError(f"bad {head} declaration {stmt!r}", lineno)
             reg, size = m.group(1), int(m.group(2))
+            if reg in qreg_sizes or reg in creg_sizes:
+                raise QasmError(f"register {reg!r} is declared twice", lineno)
             if head == "creg":
                 cregs.append((reg, size))
                 creg_sizes[reg] = size

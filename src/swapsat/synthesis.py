@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, CnotSlice, Gate, circuit_depth, extract_cnot_slice
 from .coupling import (CouplingGraph, connected_sets, induced_edges, induced_subgraph,
-                       reachable, shape_key)
+                       reachable, shape_key, spans)
 from .dag import DepDag, build_dependency_dag, build_relaxed_dag, slice_successors
 from .encoder import EncodeOptions, TwoWayEncoder
 from .solver import Status, make_solver
@@ -289,17 +289,31 @@ _catalogue: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _level_shapes(coupling: CouplingGraph, size: int, deadline: float | None
                   ) -> list[tuple[tuple[int, ...], CouplingGraph]] | None:
-    """One node set per isomorphism class of connected `size`-node subgraphs,
-    densest first, each with its induced subgraph.
+    """One node set per maximal isomorphism class of connected `size`-node
+    subgraphs, densest first, each with its induced subgraph.
 
     None once the classes found total at least the device's node count:
-    solving them would then cost more than solving the device.  Keys are
-    memoised on a set's local edge list, which lattice regularity makes
-    most sets share.  The classes are ordered by edge count, then by sorted
-    degree sequence, both descending, ties in enumeration order.  A shape
-    that is a spanning subgraph of another has fewer edges, so no shape
-    comes before one that contains it; the containing one is SAT whenever
-    the contained one is.
+    solving them would then cost more than solving the device.  This stop
+    rule counts every class, maximal or not, so that it needs no complete
+    enumeration.  Keys are memoised on a set's local edge list, which
+    lattice regularity makes most sets share.  The classes are ordered by
+    edge count, then by sorted degree sequence, both descending, ties in
+    enumeration order.
+
+    A class is dropped when it is isomorphic to a proper spanning subgraph
+    of another ("dominated"); only the maximal ones are kept.  With every
+    lower level refuted, a plan on a dominated shape A with k actions is a
+    plan on its dominating shape B with k actions: B's extra edges let each
+    gate run at the same step or earlier, never later, so an eager schedule
+    on B executes at least what A's executes by each step; a bridge whose
+    ends are adjacent on B would become a plain CNOT, leaving fewer than k
+    actions, which the lower levels rule out; and without ancillas the
+    SWAPs act on the same occupied places.  So refuting B refutes A, and A
+    is SAT only if B is.  A dominating shape has more edges, so it comes
+    before every shape it dominates, and comparing a class only with the
+    maximal ones kept so far is enough, since domination is transitive.
+    The first SAT shape in this order is therefore always maximal, and the
+    level's answer and plan are those of the full list.
 
     The result of a completed enumeration, None included, is kept in the
     device's catalogue entry, and later calls on an equal device return it
@@ -333,8 +347,12 @@ def _level_shapes(coupling: CouplingGraph, size: int, deadline: float | None
             degree[v] += 1
         return len(edges), sorted(degree, reverse=True)
 
-    shapes = [(found[key], induced_subgraph(coupling, found[key]))
-              for key in sorted(found, key=density, reverse=True)]
+    shapes, kept = [], []  # the maximal classes' (node set, graph) and edge lists
+    for key in sorted(found, key=density, reverse=True):
+        _, edges = key
+        if not any(spans(big, edges, size) for big in kept):
+            kept.append(edges)
+            shapes.append((found[key], induced_subgraph(coupling, found[key])))
     levels[size] = shapes
     return shapes
 
@@ -370,12 +388,17 @@ def synthesize(
     no action moves them alone.  So on a connected device, level k is
     decided on the distinct connected induced subgraphs ("shapes") of n+k
     nodes: UNSAT when every shape is, SAT with the first satisfiable
-    shape's plan in device labels.  The device is the single shape when n+k reaches its
-    size, when either graph is disconnected, or when the shapes total at
-    least its node count; its encoder is built at the first such level, and
-    it and its solver grow from level to level.  A level's shapes come from
-    the device's catalogue (`_level_shapes`), so they are enumerated once
-    per device and size in a process.
+    shape's plan in device labels.  Only the maximal shapes are solved: a
+    shape isomorphic to a proper spanning subgraph of another is SAT only
+    if that one is, once the lower levels are refuted, and it comes after
+    that one in the densest-first order, so skipping it changes neither
+    the level's answer nor its plan (`_level_shapes` gives the argument).
+    The device is the single shape when n+k reaches its size, when either
+    graph is disconnected, or when the shapes total at least its node
+    count; its encoder is built at the first such level, and it and its
+    solver grow from level to level.  A level's shapes come from the
+    device's catalogue (`_level_shapes`), so they are enumerated once per
+    device and size in a process.
     """
     start = time.monotonic()
     deadline = None if limits.time_limit is None else start + limits.time_limit

@@ -16,6 +16,7 @@ from swapsat.coupling import (
     linear_graph,
     load_coupling,
     shape_key,
+    spans,
 )
 
 
@@ -226,6 +227,53 @@ def test_shape_key_is_exact_on_random_six_node_graphs():
         assert key_of_form.setdefault(form, key) == key
         assert form_of_key.setdefault(key, form) == form
     assert len(key_of_form) > 50
+
+
+def brute_spans(n, big, small):
+    """Some relabelling puts every edge of `small` on an edge of `big`."""
+    big = set(big)
+    return any(all((min(p[u], p[v]), max(p[u], p[v])) in big for u, v in small)
+               for p in permutations(range(n)))
+
+
+def relabel(rng, n, edges):
+    p = list(range(n))
+    rng.shuffle(p)
+    return [(min(p[u], p[v]), max(p[u], p[v])) for u, v in edges]
+
+
+def test_spans_matches_brute_force_on_all_small_graphs():
+    rng = random.Random(8)
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        classes = {}
+        for mask in range(1 << len(pairs)):
+            edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
+            classes.setdefault(shape_key(n, edges), edges)
+        found = 0
+        for big in classes.values():
+            big = relabel(rng, n, big)
+            for small in classes.values():
+                small = relabel(rng, n, small)
+                expected = brute_spans(n, big, small)
+                assert spans(big, small, n) is expected, (n, big, small)
+                found += expected
+        # every graph spans itself; the empty graph spans no other
+        assert len(classes) <= found <= len(classes) ** 2 - (len(classes) - 1)
+
+
+def test_spans_matches_brute_force_on_random_graphs():
+    rng = random.Random(9)
+    for n, rounds in ((6, 150), (7, 40)):
+        pairs = list(combinations(range(n), 2))
+        for _ in range(rounds):
+            big = [e for e in pairs if rng.random() < rng.random()]
+            # half the time a relabelled subgraph of big, so the answer is often True
+            if rng.random() < 0.5:
+                small = relabel(rng, n, [e for e in big if rng.random() < 0.8])
+            else:
+                small = [e for e in pairs if rng.random() < 0.3]
+            assert spans(big, small, n) is brute_spans(n, big, small), (n, big, small)
 
 
 def cycle(nodes):

@@ -93,6 +93,19 @@ def test_operand_and_angle_errors_at_their_line(stmt, msg):
     assert err.value.line == 5
 
 
+@pytest.mark.parametrize("decls", [
+    "qreg q[2];\ncreg c[2];\ncreg c[1];",
+    "qreg q[2];\ncreg c[2];\nqreg c[1];",
+    "qreg q[2];\ncreg c[1];\ncreg q[2];",
+    "creg q[2];\ncreg c[1];\nqreg q[2];",
+], ids=["creg-creg", "creg-qreg", "qreg-creg", "creg-then-qreg"])
+def test_register_declared_twice(decls):
+    # a name may name one register only, whatever the kinds and their order
+    with pytest.raises(QasmError, match="register '[qc]' is declared twice") as err:
+        parse_qasm("OPENQASM 2.0;\n" + decls + "\nh q[0];\n")
+    assert err.value.line == 4
+
+
 def test_error_reports_line_number():
     with pytest.raises(QasmError) as err:
         parse_qasm("OPENQASM 2.0;\nqreg q[2];\nh q[0];\nbadgate q[0];\n")

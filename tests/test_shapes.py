@@ -2,6 +2,7 @@
 the cases that must fall back to the device, time limits, and the per-device
 shape catalogue."""
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -9,8 +10,9 @@ import pytest
 from conftest import CIRCUITS_DIR
 from swapsat import synthesis
 from swapsat.circuit import Circuit, Gate, extract_cnot_slice
-from swapsat.coupling import (CouplingGraph, grid_graph, induced_edges, linear_graph,
-                              load_coupling)
+from swapsat.coupling import (CouplingGraph, connected_sets, grid_graph, induced_edges,
+                              induced_subgraph, linear_graph, load_coupling, shape_key,
+                              spans)
 from swapsat.encoder import EncodeOptions, TwoWayEncoder
 from swapsat.qasm import parse_qasm
 from swapsat.solver import Status, make_solver
@@ -50,6 +52,19 @@ def verified(circuit, coupling, options, result):
         result.plan.final_map) is True
 
 
+def device_confirms(circuit, coupling, options, k):
+    """A fresh encoder of the whole device refutes k-1 actions and allows k."""
+    slice_ = extract_cnot_slice(circuit)
+    enc = TwoWayEncoder(circuit.num_qubits, slice_, build_dag(slice_, circuit, options.relaxed),
+                        coupling, options)
+    solver = make_solver(enc.cnf)
+    for t in range(k + 1):
+        enc.build_step(t)
+    if k >= 1:
+        assert solver.solve([enc.assumption_literal(k - 1)]).status is Status.UNSAT
+    assert solver.solve([enc.assumption_literal(k)]).status is Status.SAT
+
+
 @pytest.mark.parametrize("name,platform,combo", [
     ("bv4", "sycamore54", "S"), ("ghz4", "sycamore54", "S"), ("or", "sycamore54", "S"),
     ("bv4", "rigetti80", "S"), ("ghz4", "rigetti80", "S"), ("or", "rigetti80", "S"),
@@ -62,16 +77,75 @@ def test_shape_optimum_matches_whole_device(name, platform, combo):
     result = synthesize(circuit, coupling, options)
     k = result.metrics["swaps"] + result.metrics["bridges"]
     assert verified(circuit, coupling, options, result)
-    # a fresh encoder of the whole device: k-1 actions are refuted, k suffice
+    device_confirms(circuit, coupling, options, k)
+
+
+def shape_classes(coupling, size):
+    """One node set per isomorphism class of connected `size`-node subgraphs."""
+    adj = coupling.adjacency()
+    classes = {}
+    for nodes in connected_sets(coupling, size):
+        classes.setdefault(shape_key(size, induced_edges(adj, nodes)), nodes)
+    return classes
+
+
+def random_cx(seed, n, m):
+    rng = random.Random(seed)
+    return cx_circuit(n, [tuple(rng.sample(range(n), 2)) for _ in range(m)])
+
+
+# (circuit, device, whether a refuted level has a dominated class under S):
+# grid-4x4 has 2 maximal of 3 classes at 4 nodes, sycamore54 2 of 3 at 4 and
+# 2 of 4 at 5, rigetti80 2 of 3 at 4 and 1 of 3 at 5; bv4 and ghz4 need no
+# action, so they have no refuted level
+DOMINANCE_CASES = {
+    "grid-3q-3": (random_cx(3, 3, 12), grid_graph(4, 4), True),
+    "grid-3q-5": (random_cx(5, 3, 12), grid_graph(4, 4), True),
+    "grid-4q-1": (random_cx(1, 4, 7), grid_graph(4, 4), True),
+    "grid-4q-3": (random_cx(3, 4, 7), grid_graph(4, 4), True),
+    **{f"{name}-{platform}": (bundled(name), load_coupling(platform), name in ("or", "ring5"))
+       for platform in ("sycamore54", "rigetti80") for name in ("bv4", "ghz4", "or", "ring5")},
+}
+
+
+@pytest.mark.parametrize("case", list(DOMINANCE_CASES))
+def test_dominated_shapes_are_refuted(case):
+    """Solving only the maximal shapes gives the whole device's optimum, and
+    every dominated class of a refuted shape level is UNSAT on its own."""
+    circuit, coupling, reaches = DOMINANCE_CASES[case]
+    n = circuit.num_qubits
     slice_ = extract_cnot_slice(circuit)
-    enc = TwoWayEncoder(circuit.num_qubits, slice_, build_dag(slice_, circuit, options.relaxed),
-                        coupling, options)
-    solver = make_solver(enc.cnf)
-    for t in range(k + 1):
-        enc.build_step(t)
-    if k >= 1:
-        assert solver.solve([enc.assumption_literal(k - 1)]).status is Status.UNSAT
-    assert solver.solve([enc.assumption_literal(k)]).status is Status.SAT
+    solved = {}
+    for combo in ("S", "SB", "SR", "SBR"):
+        for ancillary in (True, False):
+            options = EncodeOptions(ancillary=ancillary, bridges="B" in combo,
+                                    relaxed="R" in combo)
+            result = synthesize(circuit, coupling, options)
+            assert result.metrics["status"] == "optimal"
+            assert verified(circuit, coupling, options, result)
+            k = result.metrics["swaps"] + result.metrics["bridges"]
+            device_confirms(circuit, coupling, options, k)
+            dag = build_dag(slice_, circuit, options.relaxed)
+            dominated = 0
+            for level in range(k):
+                if level in result.metrics["device_levels"]:
+                    continue
+                size = n + level
+                maximal = {shape_key(size, graph.edges)
+                           for _, graph in _level_shapes(coupling, size, None)}
+                assert len(maximal) == result.metrics["shapes"][level]
+                for key, nodes in shape_classes(coupling, size).items():
+                    if key in maximal:
+                        continue
+                    enc = TwoWayEncoder(n, slice_, dag, induced_subgraph(coupling, nodes),
+                                        options)
+                    for t in range(level + 1):
+                        enc.build_step(t)
+                    status = make_solver(enc.cnf).solve([enc.assumption_literal(level)]).status
+                    assert status is Status.UNSAT, (combo, ancillary, level, nodes)
+                    dominated += 1
+            solved[combo, ancillary] = dominated
+    assert (solved["S", True] > 0) == reaches, solved
 
 
 @pytest.mark.parametrize("circuit,swaps", [
@@ -95,29 +169,35 @@ def test_eagle127_paper_regime_optimum(circuit, swaps, encoder_sizes):
 
 # sycamore54 at 6 nodes has 10 shapes, which total more than its 54 nodes,
 # so that level goes to the device
-@pytest.mark.parametrize("platform,size", [
-    ("sycamore54", 4), ("sycamore54", 5),
-    ("rigetti80", 4), ("rigetti80", 5), ("rigetti80", 6),
-])
+MAXIMAL = {("sycamore54", 4): 2, ("sycamore54", 5): 2,
+           ("rigetti80", 4): 2, ("rigetti80", 5): 1, ("rigetti80", 6): 3}
+
+
+@pytest.mark.parametrize("platform,size", list(MAXIMAL))
 def test_level_shapes_densest_first(platform, size):
     coupling = load_coupling(platform)
     adj = coupling.adjacency()
     level = _level_shapes(coupling, size, None)
-    assert level is not None and len(level) > 1
+    assert level is not None and len(level) == MAXIMAL[platform, size]
     density = []
-    for nodes, _graph in level:
+    for nodes, graph in level:
         edges = induced_edges(adj, nodes)
+        assert tuple(sorted(graph.edges)) == edges
         degree = [sum(v in e for e in edges) for v in range(size)]
         density.append((len(edges), sorted(degree, reverse=True)))
     assert density == sorted(density, reverse=True)
+    # only maximal shapes are listed: none spans another
+    for (_, big), (_, small) in combinations([(n, g.edges) for n, g in level], 2):
+        assert not spans(big, small, size) and not spans(small, big, size)
 
 
 def test_ring5_rigetti80_tries_the_cycle_first():
-    # three 6-node trees and one 6-node shape with a cycle: the ring needs
-    # the cycle, so the cycle shape is SAT at level 1 and is tried first
+    # the three 5-node classes have one maximal shape, refuted at level 0;
+    # of the 6-node shapes only one has a cycle: the ring needs it, so the
+    # cycle shape is SAT at level 1 and is tried first
     circuit, coupling = bundled("ring5"), load_coupling("rigetti80")
     result = synthesize(circuit, coupling)
-    assert result.metrics["shapes"] == [3, 1]
+    assert result.metrics["shapes"] == [1, 1]
     assert (result.metrics["swaps"], result.metrics["bridges"]) == (1, 0)
     assert verified(circuit, coupling, EncodeOptions(), result)
 

@@ -314,8 +314,10 @@ def test_ingest_watches_no_root_false_literal():
 
     ingest([[-a], [a, b, c], [b, a, c], [b, c, a], [a, c, b, d], [b, -a, c]], {a})
     assert solver.solve().status is Status.SAT
-    # the second ingestion backtracks from the model and meets -a and -e at level 0
-    ingest([[-e], [e, a, d, b], [d, e, b], [a, e, c, d], [c, d, e, a]], {a, e})
+    # the second ingestion backtracks from the model and meets -a, propagated
+    # already, and -e at level 0; a clause watching a would never wake
+    ingest([[-e], [e, a, d, b], [d, e, b], [d, a, b], [c, a, e, b], [a, e, c, d],
+            [c, d, e, a]], {a, e})
     assert solver.solve().status is Status.SAT
 
 
