@@ -122,24 +122,21 @@ class InternalSolver:
             # Almost every clause can watch its first two literals as they
             # are; a root-false literal further on is never watched.
             if len(lits) > 1 and val[lits[0]] != _FALSE and val[lits[1]] != _FALSE:
-                ci = len(clauses)
-                clauses.append(list(lits))
-                watches[lits[0]].append(ci)
-                watches[lits[1]].append(ci)
-                continue
-            keep = [lit for lit in lits if val[lit] != _FALSE]
-            if len(keep) > 1:
-                if len(keep) < len(lits):
-                    keep += [lit for lit in lits if val[lit] == _FALSE]
-                ci = len(clauses)
-                clauses.append(keep)
-                watches[keep[0]].append(ci)
-                watches[keep[1]].append(ci)
-            elif not keep:
-                self.root_conflict = True
-                return
-            elif val[keep[0]] == _UNDEF:
-                self._enqueue(keep[0], None)
+                keep = list(lits)
+            else:
+                keep = [lit for lit in lits if val[lit] != _FALSE]
+                if not keep:
+                    self.root_conflict = True
+                    return
+                if len(keep) == 1:
+                    if val[keep[0]] == _UNDEF:
+                        self._enqueue(keep[0], None)
+                    continue
+                keep += [lit for lit in lits if val[lit] == _FALSE]
+            ci = len(clauses)
+            clauses.append(keep)
+            watches[keep[0]].append(ci)
+            watches[keep[1]].append(ci)
         if self._propagate() is not None:
             self.root_conflict = True
 
