@@ -92,13 +92,15 @@ def run_map(args) -> int:
     if args.metrics:
         Path(args.metrics).write_text(json.dumps(metrics, indent=2) + "\n")
     if args.dump_dimacs:
-        # rebuild the final instance for inspection
+        # rebuild the whole device's instance at the optimal step count, with
+        # its goal (the last step's assumption) as a unit clause
         slice_ = extract_cnot_slice(circuit)
         dag = build_dag(slice_, circuit, options.relaxed)
         enc = TwoWayEncoder(circuit.num_qubits, slice_, dag, coupling, options)
         for t in range(len(result.plan.steps)):
             enc.build_step(t)
-        Path(args.dump_dimacs).write_text(enc.cnf.to_dimacs())
+        goal = enc.assumption_literal(len(result.plan.steps) - 1)
+        Path(args.dump_dimacs).write_text(enc.cnf.to_dimacs(units=[goal]))
     print(f"{metrics['swaps']} SWAPs + {metrics['bridges']} bridges (optimal), "
           f"depth {metrics['depth_after']}, {metrics['total_time']} s")
     return 0
@@ -237,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--output", help="mapped circuit QASM path")
     p.add_argument("--metrics", help="metrics JSON path")
-    p.add_argument("--dump-dimacs", help="write the final CNF instance as DIMACS")
+    p.add_argument("--dump-dimacs", help="write the whole device's CNF instance at the "
+                   "optimal step count, with its goal as a unit clause, as DIMACS")
     p.add_argument("--verify", action="store_true",
                    help="run structural and unitary checks on the result")
     p.set_defaults(func=run_map)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 
 class CnfError(ValueError):
-    """Empty clause or out-of-range literal."""
+    """Empty clause, out-of-range literal or malformed DIMACS."""
 
 
 class CnfInstance:
@@ -139,13 +139,17 @@ class CnfInstance:
                 continue
             if line.startswith("p"):
                 parts = line.split()
-                if len(parts) != 4 or parts[1] != "cnf":
+                if (len(parts) != 4 or parts[1] != "cnf"
+                        or not all(p.isdecimal() for p in parts[2:])):
                     raise CnfError(f"bad DIMACS header {line!r}")
                 inst.num_vars = int(parts[2])
                 declared_clauses = int(parts[3])
                 continue
             for tok in line.split():
-                lit = int(tok)
+                try:
+                    lit = int(tok)
+                except ValueError:
+                    raise CnfError(f"bad DIMACS literal {tok!r}") from None
                 if lit == 0:
                     inst.add_clause(pending)
                     pending = []

@@ -124,59 +124,20 @@ def induced_subgraph(graph: CouplingGraph, nodes: tuple[int, ...]) -> CouplingGr
                          f"{graph.name}{list(nodes)}")
 
 
-def shape_key(num_nodes: int, edges) -> tuple:
-    """Exact isomorphism invariant: the graph's canonical edge list.
-
-    Colour refinement splits the nodes into classes that any isomorphism
-    preserves.  While a class has several nodes, each of them in turn is
-    given a colour of its own and the colours are refined again; every
-    branch ends in a labelling, and the key is the least edge list over
-    those labellings.  The set of labellings depends only on the graph up
-    to isomorphism, so two graphs share a key exactly when they are
-    isomorphic.  Twins (nodes with equal neighbours apart from each other)
-    are swapped by an automorphism that fixes every earlier choice, so
-    their branches end in the same edge lists and one twin per class is
-    tried; this keeps dense shapes such as cliques from costing s!.
-    """
-    adj: list[set[int]] = [set() for _ in range(num_nodes)]
+def shape_invariant(num_nodes: int, edges) -> tuple:
+    """An isomorphism invariant: the edge count, the degree sequence in
+    descending order, and the sorted (degree, sorted neighbour degrees) of
+    every node.  Isomorphic graphs share it; graphs that share it are
+    isomorphic exactly when one `spans` the other, since a spanning
+    subgraph with as many edges as the whole is the whole."""
+    adj: list[list[int]] = [[] for _ in range(num_nodes)]
     for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-
-    def refine(colour: list[int]) -> list[int]:
-        classes = len(set(colour))
-        while True:
-            sig = [(colour[v], tuple(sorted(colour[u] for u in adj[v])))
-                   for v in range(num_nodes)]
-            ranks = {s: i for i, s in enumerate(sorted(set(sig)))}
-            colour = [ranks[s] for s in sig]
-            if len(ranks) == classes:
-                return colour
-            classes = len(ranks)
-
-    best = None
-
-    def search(colour: list[int]) -> None:
-        nonlocal best
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colour):
-            cells.setdefault(c, []).append(v)
-        split = [c for c in sorted(cells) if len(cells[c]) > 1]
-        if not split:
-            form = tuple(sorted((min(colour[u], colour[v]), max(colour[u], colour[v]))
-                                for u, v in edges))
-            if best is None or form < best:
-                best = form
-            return
-        tried: list[int] = []
-        for v in cells[min(split, key=lambda c: len(cells[c]))]:
-            if any(adj[v] - {r} == adj[r] - {v} for r in tried):
-                continue
-            tried.append(v)
-            search(refine([2 * c + (u != v) for u, c in enumerate(colour)]))
-
-    search(refine([0] * num_nodes))
-    return num_nodes, best
+        adj[u].append(v)
+        adj[v].append(u)
+    degree = [len(a) for a in adj]
+    return (len(edges), tuple(sorted(degree, reverse=True)),
+            tuple(sorted((degree[v], tuple(sorted(degree[u] for u in adj[v])))
+                         for v in range(num_nodes))))
 
 
 def spans(big_edges, small_edges, size: int) -> bool:

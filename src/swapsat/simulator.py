@@ -74,21 +74,11 @@ def _permutation(name: str, qubits: tuple[int, ...], n: int) -> np.ndarray:
     raise ValueError(f"no row permutation for gate '{name}'")
 
 
-def simulate(circuit: Circuit, state: np.ndarray | None = None) -> np.ndarray:
-    """Run the circuit on `state` (default all-zeros); measures/barriers skipped.
-
-    `state` is a (2**n, B) batch whose columns are states, returned as the
-    batch of outputs, or one state with 2**n amplitudes (shaped (2,)*n, or
-    flat), returned shaped (2,)*n.
-    """
+def simulate(circuit: Circuit, batch: np.ndarray) -> np.ndarray:
+    """Run the circuit on a (2**n, B) batch whose columns are states and
+    return the batch of outputs; measures and barriers are skipped."""
     n = circuit.num_qubits
-    dim = 1 << n
-    if state is None:
-        state = np.zeros(dim, dtype=complex)
-        state[0] = 1.0
-    state = np.asarray(state, dtype=complex)
-    single = not (state.ndim == 2 and state.shape[0] == dim and state.shape != (2,) * n)
-    batch = np.ascontiguousarray(state.reshape(dim, 1) if single else state)
+    batch = np.ascontiguousarray(batch, dtype=complex)
     perms: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
     for g in circuit.gates:
         if g.name in ("measure", "barrier"):
@@ -104,4 +94,4 @@ def simulate(circuit: Circuit, state: np.ndarray | None = None) -> np.ndarray:
             if perm is None:
                 perm = perms[key] = _permutation(g.name, g.qubits, n)
             batch = batch[perm]
-    return batch.reshape((2,) * n) if single else batch
+    return batch

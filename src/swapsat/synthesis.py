@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, CnotSlice, Gate, circuit_depth, extract_cnot_slice
 from .coupling import (CouplingGraph, connected_sets, induced_edges, induced_subgraph,
-                       reachable, shape_key, spans)
+                       reachable, shape_invariant, spans)
 from .dag import DepDag, build_dependency_dag, build_relaxed_dag, slice_successors
 from .encoder import EncodeOptions, TwoWayEncoder
 from .solver import Status, make_solver
@@ -295,10 +295,12 @@ def _level_shapes(coupling: CouplingGraph, size: int, deadline: float | None
     None once the classes found total at least the device's node count:
     solving them would then cost more than solving the device.  This stop
     rule counts every class, maximal or not, so that it needs no complete
-    enumeration.  Keys are memoised on a set's local edge list, which
-    lattice regularity makes most sets share.  The classes are ordered by
-    edge count, then by sorted degree sequence, both descending, ties in
-    enumeration order.
+    enumeration.  Each distinct local edge list joins the first class of
+    its `shape_invariant` whose first edge list `spans` it, which with
+    equal edge counts means the two are isomorphic, so every merge rests
+    on an embedding found; else it starts a class.  The classes are
+    ordered by the invariant's first two fields, edge count and then
+    sorted degree sequence, both descending, ties in enumeration order.
 
     A class is dropped when it is isomorphic to a proper spanning subgraph
     of another ("dominated"); only the maximal ones are kept.  With every
@@ -324,35 +326,31 @@ def _level_shapes(coupling: CouplingGraph, size: int, deadline: float | None
     if size in levels:
         return levels[size]
     adj = coupling.adjacency()
-    memo: dict[tuple, tuple] = {}
-    found: dict[tuple, tuple[int, ...]] = {}  # key -> node set
+    seen: set[tuple] = set()  # local edge lists already classified
+    buckets: dict[tuple, list[tuple]] = {}  # invariant -> its classes' edge lists
+    found = []  # (invariant, node set, local edge list), one per class
     for nodes in connected_sets(coupling, size):
         if deadline is not None and time.monotonic() > deadline:
             raise _Stopped
         local = induced_edges(adj, nodes)
-        key = memo.get(local)
-        if key is None:
-            key = memo[local] = shape_key(size, local)
-        if key not in found:
-            found[key] = nodes
-            if len(found) * size >= coupling.num_physical:
-                levels[size] = None
-                return None
-
-    def density(key: tuple) -> tuple:
-        _, edges = key  # node count and canonical edge list
-        degree = [0] * size
-        for u, v in edges:
-            degree[u] += 1
-            degree[v] += 1
-        return len(edges), sorted(degree, reverse=True)
+        if local in seen:
+            continue
+        seen.add(local)
+        invariant = shape_invariant(size, local)
+        bucket = buckets.setdefault(invariant, [])
+        if any(spans(rep, local, size) for rep in bucket):
+            continue
+        bucket.append(local)
+        found.append((invariant, nodes, local))
+        if len(found) * size >= coupling.num_physical:
+            levels[size] = None
+            return None
 
     shapes, kept = [], []  # the maximal classes' (node set, graph) and edge lists
-    for key in sorted(found, key=density, reverse=True):
-        _, edges = key
+    for _, nodes, edges in sorted(found, key=lambda c: c[0][:2], reverse=True):
         if not any(spans(big, edges, size) for big in kept):
             kept.append(edges)
-            shapes.append((found[key], induced_subgraph(coupling, found[key])))
+            shapes.append((nodes, induced_subgraph(coupling, nodes)))
     levels[size] = shapes
     return shapes
 

@@ -4,10 +4,15 @@ import json
 import pytest
 
 from conftest import DIMACS_COMMAND
+from swapsat.circuit import extract_cnot_slice
 from swapsat.cli import main
 from swapsat.cnf import CnfInstance
 from swapsat.coupling import load_coupling
 from swapsat.dimacs_cli import main as dimacs_main
+from swapsat.encoder import EncodeOptions, TwoWayEncoder
+from swapsat.qasm import parse_qasm
+from swapsat.solver import Status, make_solver
+from swapsat.synthesis import build_dag
 
 
 def or_path(circuits_dir):
@@ -70,6 +75,19 @@ def test_map_dump_dimacs(circuits_dir, tmp_path):
     assert code == 0
     instance = CnfInstance.from_dimacs(dump.read_text())
     assert instance.num_vars > 0 and instance.clauses
+    # the optimum is 2 SWAPs: steps 0..2, ending in step 2's goal as a unit clause
+    circuit = parse_qasm((circuits_dir / "or.qasm").read_text())
+    slice_ = extract_cnot_slice(circuit)
+    enc = TwoWayEncoder(circuit.num_qubits, slice_, build_dag(slice_, circuit, False),
+                        load_coupling("linear-3"), EncodeOptions())
+    for t in range(3):
+        enc.build_step(t)
+    assert instance.clauses[-1] == [enc.assumption_literal(2)]
+    assert instance.clauses[:-1] == enc.cnf.clauses
+    assert make_solver(instance).solve().status is Status.SAT
+    # without its goal the instance would read SAT at one step too
+    body = CnfInstance.from_dimacs(enc.cnf.to_dimacs())
+    assert make_solver(body).solve([enc.assumption_literal(1)]).status is Status.UNSAT
 
 
 def test_verify_subcommand(circuits_dir, tmp_path, capsys):
@@ -226,3 +244,9 @@ def test_dimacs_cli_roundtrip(tmp_path, capsys):
     assert dimacs_main([str(unsat)]) == 20
     assert "s UNSATISFIABLE" in capsys.readouterr().out
     assert dimacs_main([str(tmp_path / "none.cnf")]) == 1
+    capsys.readouterr()
+    malformed = tmp_path / "bad.cnf"
+    malformed.write_text("p cnf 2 1\n1 a 0\n")
+    assert dimacs_main([str(malformed)]) == 1
+    out = capsys.readouterr().out
+    assert "c error" in out and "s UNKNOWN" in out

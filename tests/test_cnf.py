@@ -206,5 +206,9 @@ def test_dimacs_parse_errors():
         CnfInstance.from_dimacs("p dnf 2 1\n1 2 0\n")
     with pytest.raises(CnfError):
         CnfInstance.from_dimacs("p cnf 2 2\n1 2 0\n")  # count mismatch
+    for text in ("p cnf x 1\n1 0\n", "p cnf 2 1.0\n1 0\n", "p cnf -1 0\n",
+                 "p cnf 2 -1\n", "p cnf 2 1\n1 a 0\n", "p cnf 2 1\n1 2.0 0\n"):
+        with pytest.raises(CnfError):
+            CnfInstance.from_dimacs(text)
     parsed = CnfInstance.from_dimacs("c comment\np cnf 2 1\nc mid\n1 -2 0\n")
     assert parsed.clauses == [[1, -2]]

@@ -1,5 +1,6 @@
 import json
 import random
+from functools import cache
 from itertools import combinations, permutations
 
 import pytest
@@ -15,7 +16,7 @@ from swapsat.coupling import (
     induced_subgraph,
     linear_graph,
     load_coupling,
-    shape_key,
+    shape_invariant,
     spans,
 )
 
@@ -191,42 +192,56 @@ def test_induced_subgraph_relabels_in_node_order():
     assert induced_edges(g.adjacency(), (1, 2, 4, 5, 8)) == tuple(sorted(sub.edges))
 
 
+@cache
 def brute_form(n, edges):
-    """Least sorted edge list over all n! relabellings."""
+    """Least sorted edge list over all n! relabellings (`edges` a tuple)."""
     return min(tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
                for p in permutations(range(n)))
 
 
-def test_shape_key_is_exact_on_all_small_graphs():
+def same_shape(n, a, b):
+    """The classification rule: equal invariants, and one graph spans the other."""
+    return shape_invariant(n, a) == shape_invariant(n, b) and spans(a, b, n)
+
+
+def relabel(rng, n, edges):
+    p = list(range(n))
+    rng.shuffle(p)
+    return tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
+
+
+def all_graphs(n):
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield tuple(e for i, e in enumerate(pairs) if mask >> i & 1)
+
+
+def test_shape_rule_is_exact_on_all_small_graphs():
     rng = random.Random(5)
     for n, classes in ((1, 1), (2, 2), (3, 4), (4, 11), (5, 34)):
-        pairs = list(combinations(range(n), 2))
-        key_of_form: dict = {}
-        form_of_key: dict = {}
-        for mask in range(1 << len(pairs)):
-            edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
-            key, form = shape_key(n, edges), brute_form(n, edges)
-            assert key_of_form.setdefault(form, key) == key, "isomorphic graphs, two keys"
-            assert form_of_key.setdefault(key, form) == form, "one key, two graphs"
-            p = list(range(n))
-            rng.shuffle(p)
-            relabelled = [(min(p[u], p[v]), max(p[u], p[v])) for u, v in edges]
-            assert shape_key(n, relabelled) == key
-        assert len(key_of_form) == classes
+        graphs = list(all_graphs(n))
+        reps = {}  # brute-force form -> a relabelled member
+        for edges in graphs:
+            reps.setdefault(brute_form(n, edges), relabel(rng, n, edges))
+        assert len(reps) == classes
+        for edges in graphs:
+            form = brute_form(n, edges)
+            for rep_form, rep in reps.items():
+                assert same_shape(n, rep, edges) is (rep_form == form), (n, rep, edges)
+            assert shape_invariant(n, relabel(rng, n, edges)) == shape_invariant(n, edges)
 
 
-def test_shape_key_is_exact_on_random_six_node_graphs():
+def test_shape_rule_is_exact_on_random_six_node_graphs():
     rng = random.Random(11)
     pairs = list(combinations(range(6), 2))
-    key_of_form: dict = {}
-    form_of_key: dict = {}
+    graphs = []
     for _ in range(150):
         density = rng.random()
-        edges = [e for e in pairs if rng.random() < density]
-        key, form = shape_key(6, edges), brute_form(6, edges)
-        assert key_of_form.setdefault(form, key) == key
-        assert form_of_key.setdefault(key, form) == form
-    assert len(key_of_form) > 50
+        graphs.append(tuple(e for e in pairs if rng.random() < density))
+    for a in graphs:
+        for b in graphs:
+            assert same_shape(6, a, b) is (brute_form(6, a) == brute_form(6, b)), (a, b)
+    assert len({brute_form(6, edges) for edges in graphs}) > 50
 
 
 def brute_spans(n, big, small):
@@ -236,20 +251,12 @@ def brute_spans(n, big, small):
                for p in permutations(range(n)))
 
 
-def relabel(rng, n, edges):
-    p = list(range(n))
-    rng.shuffle(p)
-    return [(min(p[u], p[v]), max(p[u], p[v])) for u, v in edges]
-
-
 def test_spans_matches_brute_force_on_all_small_graphs():
     rng = random.Random(8)
     for n in range(1, 6):
-        pairs = list(combinations(range(n), 2))
         classes = {}
-        for mask in range(1 << len(pairs)):
-            edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
-            classes.setdefault(shape_key(n, edges), edges)
+        for edges in all_graphs(n):
+            classes.setdefault(brute_form(n, edges), edges)
         found = 0
         for big in classes.values():
             big = relabel(rng, n, big)
@@ -280,8 +287,8 @@ def cycle(nodes):
     return [(min(u, v), max(u, v)) for u, v in zip(nodes, nodes[1:] + nodes[:1])]
 
 
-# regular graphs, on which colour refinement splits nothing: the key rests
-# on the search alone
+# regular graphs, whose invariants tell apart only their node and edge
+# counts: the classes rest on `spans` alone
 REGULAR = {
     "hexagon": (6, cycle([0, 1, 2, 3, 4, 5])),
     "two triangles": (6, cycle([0, 1, 2]) + cycle([3, 4, 5])),
@@ -296,14 +303,12 @@ REGULAR = {
 }
 
 
-def test_shape_key_on_regular_graphs():
+def test_shape_rule_on_regular_graphs():
     rng = random.Random(3)
-    keys = {}
     for name, (n, edges) in REGULAR.items():
-        key = shape_key(n, edges)
         for _ in range(10):
-            p = list(range(n))
-            rng.shuffle(p)
-            assert shape_key(n, [(min(p[u], p[v]), max(p[u], p[v])) for u, v in edges]) == key, name
-        keys[name] = key
-    assert len(set(keys.values())) == len(REGULAR)
+            relabelled = relabel(rng, n, edges)
+            assert shape_invariant(n, relabelled) == shape_invariant(n, edges), name
+            assert same_shape(n, edges, relabelled), name
+    for (a, (n, ea)), (b, (m, eb)) in combinations(REGULAR.items(), 2):
+        assert n != m or not same_shape(n, ea, eb), (a, b)

@@ -52,8 +52,10 @@ def test_parametric_gate_matrices():
 
 def test_basis_state_ordering():
     flip1 = mk(2, [("x", (1,))])
-    psi = simulate(flip1)  # |01>: qubit 0 is the high bit
-    assert psi.shape == (2, 2) and psi[0, 1] == 1.0
+    zero = np.zeros((4, 1))
+    zero[0] = 1.0
+    psi = simulate(flip1, zero)  # |01>: qubit 0 is the high bit
+    assert psi.shape == (4, 1) and psi[1, 0] == 1.0
     # column b of a batch is basis state b, row i amplitude i
     assert np.array_equal(simulate(flip1, np.eye(4)), np.eye(4)[[1, 0, 3, 2]])
 
@@ -106,10 +108,10 @@ def test_kernel_matches_kron_unitary(n):
     before = batch.copy()
     assert np.allclose(simulate(circuit, batch), u @ batch, atol=1e-12)
     assert np.array_equal(batch, before)
-    psi = batch[:, 0].reshape((2,) * n)
-    out = simulate(circuit, psi)
-    assert out.shape == (2,) * n
-    assert np.allclose(out.ravel(), u @ batch[:, 0], atol=1e-12)
+    column = batch[:, :1]
+    out = simulate(circuit, column)
+    assert out.shape == (2**n, 1)
+    assert np.allclose(out, u @ column, atol=1e-12)
 
 
 def fixture_result(or_circuit):
